@@ -9,8 +9,9 @@ square roots have a positive constant term.
 Every jet carries an integer ``accuracy``: the largest total degree whose
 coefficients are trusted.  Ring operations and Taylor division/square root
 preserve the minimum accuracy of their operands; differentiation lowers it
-by one.  Coefficients above the accuracy are retained but must be masked in
-comparisons.
+by one.  Products compute only the coefficients up to their accuracy and
+hold exact zeros above it.  Sums and ``with_accuracy`` can still carry
+coefficients above the accuracy, so comparisons mask them.
 
 Coefficients are held internally in a dense vector indexed by the graded
 lexicographic order on exponent multi-indices (the truncations used here
@@ -102,6 +103,39 @@ _BASIS_CACHE: dict = {}
 _MUL_CACHE: dict = {}
 _DIFF_CACHE: dict = {}
 
+# Product plans, one per chart shape and result accuracy A: the number of
+# targets of degree <= A, the prefix of the pair table that feeds them, and
+# gather buffers of that length.  Pair temporaries allocated in every product
+# would be returned to the system and faulted back in each time, so product
+# time would follow the host's memory state.  The buffers belong to the
+# thread and the shape, not to a context, so pooled contexts add nothing.
+class _ProductPlans(threading.local):
+    def __init__(self):
+        self.buffers = {}
+        self.plans = {}
+
+
+_PRODUCT_PLANS = _ProductPlans()
+
+
+def _product_plan(context: "JetContext", accuracy: int):
+    local = _PRODUCT_PLANS
+    plan = local.plans.get((context._shape, accuracy))
+    if plan is None:
+        left, right, starts = context.mul_table()
+        buffers = local.buffers.get(context._shape)
+        if buffers is None:
+            buffers = local.buffers[context._shape] = (
+                np.empty(len(left), dtype=np.complex128),
+                np.empty(len(left), dtype=np.complex128))
+        # targets of degree <= accuracy are a prefix of the graded basis,
+        # and their pairs are a prefix of the target-sorted table
+        n = int(np.count_nonzero(context.degrees <= accuracy))
+        m = starts[n] if n < len(starts) else len(left)
+        plan = local.plans[(context._shape, accuracy)] = (
+            n, left[:m], right[:m], starts[:n], buffers[0][:m], buffers[1][:m])
+    return plan
+
 
 class JetContext:
     """Shared frame for a family of jets.
@@ -142,7 +176,6 @@ class JetContext:
             _BASIS_CACHE[shape] = basis
         self.monomials, self._index, self.degrees, self._exps = basis
         self._shape = shape
-        self._scratch = threading.local()
 
     # -- variable layout: x_0..x_{n-1} then xi-offsets 0..n-2 (0-based) --
 
@@ -208,14 +241,6 @@ class JetContext:
             table = (left[order], right[order], starts)
             _MUL_CACHE[self._shape] = table
         return table
-
-    def _mul_buffers(self):
-        local = self._scratch
-        if not hasattr(local, "w1"):
-            npairs = len(self.mul_table()[0])
-            local.w1 = np.empty(npairs, dtype=np.complex128)
-            local.w2 = np.empty(npairs, dtype=np.complex128)
-        return local.w1, local.w2
 
     def diff_table(self, var: int):
         key = (self._shape, var)
@@ -379,13 +404,22 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.context, self.coeffs * complex(other), self.accuracy)
         _check_context(self, other)
-        left, right, starts = self.context.mul_table()
-        w1, w2 = self.context._mul_buffers()
-        np.take(self.coeffs, left, out=w1)
-        np.take(other.coeffs, right, out=w2)
-        np.multiply(w1, w2, out=w1)
-        out = np.add.reduceat(w1, starts)
-        return Jet(self.context, out, min(self.accuracy, other.accuracy))
+        ctx = self.context
+        acc = min(self.accuracy, other.accuracy)
+        n, left, right, starts, w1, w2 = _product_plan(ctx, acc)
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros_like(a)
+        if not a[1:n].any():
+            out[:n] = a[0] * b[:n]
+        elif not b[1:n].any():
+            out[:n] = a[:n] * b[0]
+        else:
+            # indices are in range; "wrap" skips the buffered bounds check
+            np.take(a, left, out=w1, mode="wrap")
+            np.take(b, right, out=w2, mode="wrap")
+            np.multiply(w1, w2, out=w1)
+            out[:n] = np.add.reduceat(w1, starts)
+        return Jet(ctx, out, acc)
 
     __rmul__ = __mul__
 

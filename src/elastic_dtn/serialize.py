@@ -34,6 +34,20 @@ def _matrix_from_json(context: JetContext, data, where: str,
     return JetMatrix(context, entries)
 
 
+def _accuracy_map(data: dict, chart: JetContext, where: str) -> dict:
+    """The document's trusted degrees, each checked to be an integer in 0..K."""
+    accuracy = data.get("accuracy", {})
+    if not isinstance(accuracy, dict):
+        raise SceneError(f"{where}: accuracy must be an object")
+    K = chart.truncation_order
+    for key, value in accuracy.items():
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or not 0 <= value <= K):
+            raise SceneError(f"{where}: accuracy {key!r} must be an integer "
+                             f"in 0..{K}, got {value!r}")
+    return accuracy
+
+
 def symbols_to_json(levels: SymbolLevels, lame: LameJet,
                     chart: JetContext) -> dict:
     return {
@@ -56,17 +70,15 @@ def observed_from_json(data: dict) -> ObservedSymbols:
         if key not in data:
             raise SceneError(f"symbols document: missing key {key!r}")
     chart = context_from_json(data["chart"])
-    accuracy = data.get("accuracy", {})
+    accuracy = _accuracy_map(data, chart, "symbols document")
     levels = {}
     for key, block in data["levels"].items():
         try:
             degree = int(key)
         except ValueError:
             raise SceneError(f"symbols document: bad level key {key!r}") from None
-        acc = accuracy.get(key)
-        levels[degree] = _matrix_from_json(
-            chart, block, where=f"level {key}",
-            accuracy=None if acc is None else int(acc))
+        levels[degree] = _matrix_from_json(chart, block, where=f"level {key}",
+                                           accuracy=accuracy.get(key))
     try:
         parsed = SymbolLevels(data["kind"], levels)
     except ValueError as exc:
@@ -114,7 +126,7 @@ def recovered_from_json(data: dict) -> RecoveredBoundaryData:
         raise SceneError("recovered document: bad or missing schema")
     chart = context_from_json(data["chart"])
     nn = chart.dimension - 1
-    accuracy = data.get("accuracy", {})
+    accuracy = _accuracy_map(data, chart, "recovered document")
 
     def block_from_json(doc, where, acc):
         rows = [[None] * nn for _ in range(nn)]
@@ -128,16 +140,12 @@ def recovered_from_json(data: dict) -> RecoveredBoundaryData:
             raise SceneError(f"{where}: incomplete block")
         return tuple(tuple(r) for r in rows)
 
-    g_acc = accuracy.get("g_inv")
-    g_inv = block_from_json(data["g_inv"], "g_inv",
-                            None if g_acc is None else int(g_acc))
+    g_inv = block_from_json(data["g_inv"], "g_inv", accuracy.get("g_inv"))
     derivs = []
     for m in range(1, len(data.get("normal_derivatives", {})) + 1):
         doc = data["normal_derivatives"].get(str(m))
         if doc is None:
             raise SceneError(f"recovered document: missing order {m}")
-        acc = accuracy.get(str(m))
-        derivs.append(block_from_json(doc, f"order {m}",
-                                      None if acc is None else int(acc)))
+        derivs.append(block_from_json(doc, f"order {m}", accuracy.get(str(m))))
     return RecoveredBoundaryData(chart, g_inv, derivs,
                                  data.get("diagnostics", {}))

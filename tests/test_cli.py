@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from elastic_dtn.cli import main
-from elastic_dtn.scenes import canonical_json
+from elastic_dtn.scenes import SceneError, canonical_json
 from elastic_dtn.serialize import observed_from_json, recovered_from_json
 
 
@@ -188,3 +190,34 @@ def test_recovered_schema_roundtrip(tmp_path):
     from elastic_dtn.serialize import recovered_to_json
 
     assert canonical_json(recovered_to_json(data)) == canonical_json(raw)
+
+
+BAD_ACCURACIES = ["x", 2.5, -1, 7, True, None]
+
+
+@pytest.mark.parametrize("value", BAD_ACCURACIES)
+def test_recover_rejects_bad_accuracy(tmp_path, capsys, value):
+    cfg = write_scene(tmp_path / "scene.json", order=1)   # K = 6
+    sym = tmp_path / "symbols.json"
+    main(["forward", "--config", str(cfg), "--out", str(sym)])
+    doc = json.loads(sym.read_text())
+    doc["accuracy"]["1"] = value
+    sym.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["recover", "--symbols", str(sym), "--order", "1",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "accuracy '1' must be an integer in 0..6" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", BAD_ACCURACIES)
+def test_recovered_loader_rejects_bad_accuracy(tmp_path, value):
+    cfg = write_scene(tmp_path / "scene.json", metric=curved_metric(), order=1)
+    sym, rec = tmp_path / "s.json", tmp_path / "r.json"
+    main(["forward", "--config", str(cfg), "--out", str(sym)])
+    main(["recover", "--symbols", str(sym), "--order", "1", "--out", str(rec)])
+    raw = json.loads(rec.read_text())
+    raw["accuracy"]["g_inv"] = value
+    with pytest.raises(SceneError, match="accuracy 'g_inv' must be an integer"):
+        recovered_from_json(raw)

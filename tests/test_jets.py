@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -100,6 +101,75 @@ def test_ops_match_bruteforce_oracle():
         for var in range(ctx.nvars):
             assert_poly_close(jet_to_poly(a.partial(var)),
                               poly_partial(pa, var), K - 1)
+
+
+def _full_product(a, b):
+    """Reference kernel: every pair of the table, all degrees up to K."""
+    left, right, starts = a.context.mul_table()
+    return np.add.reduceat(a.coeffs[left] * b.coeffs[right], starts)
+
+
+@pytest.mark.parametrize("n,K,xi0", [(2, 6, (1.0,)), (3, 5, (0.7, -1.1))])
+def test_truncated_product_matches_full_kernel(n, K, xi0):
+    ctx = make_context(n=n, K=K, xi0=xi0)
+    rng = np.random.default_rng(n)
+    for acc in (0, 1, K - 3, K):
+        trusted = ctx.degrees <= acc
+        general = random_jet(ctx, rng, degree=K)
+        other = random_jet(ctx, rng, degree=K)
+        # no coefficient at degrees 1..acc, arbitrary ones above acc
+        flat = random_jet(ctx, rng, degree=K).coeffs * ~trusted
+        flat[0] = 1.3 - 0.4j
+        const = Jet(ctx, flat, K)
+        # constant below acc except for the last trusted monomial
+        last = flat.copy()
+        last[int(trusted.sum()) - 1] += 0.8j
+        almost = Jet(ctx, last, K)
+        for a, b in ((general, other), (const, general), (general, const),
+                     (almost, general), (general, almost)):
+            for prod in (a.with_accuracy(acc) * b, a * b.with_accuracy(acc)):
+                assert prod.accuracy == acc
+                assert np.array_equal(prod.coeffs[trusted],
+                                      _full_product(a, b)[trusted])
+                assert not prod.coeffs[~trusted].any()
+
+
+def test_products_in_threads_match_serial_products():
+    # contexts of one shape share product plans; each thread has its own
+    # gather buffers
+    ctx = make_context(n=3, K=5, xi0=(0.7, -1.1))
+    rng = np.random.default_rng(11)
+    pairs = [(random_jet(ctx, rng, degree=5), random_jet(ctx, rng, degree=5))
+             for _ in range(8)]
+    expected = [(a * b).coeffs for a, b in pairs]
+    results = {}
+
+    def work(tag):
+        results[tag] = [[(a * b).coeffs for a, b in pairs] for _ in range(50)]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for runs in results.values():
+        for run in runs:
+            assert all(np.array_equal(c, e) for c, e in zip(run, expected))
+
+
+def test_inverses_hold_zeros_above_accuracy():
+    ctx = make_context(n=2, K=6)
+    rng = np.random.default_rng(4)
+    acc = 3
+    above = ctx.degrees > acc
+    a = (random_jet(ctx, rng, degree=6, complex_coeffs=False) + 2.0).with_accuracy(acc)
+    assert a.coeffs[above].any()
+    for out in (reciprocal(a), sqrt(a)):
+        assert out.accuracy == acc and not out.coeffs[above].any()
+    m = JetMatrix(ctx, [[a, 0.3 * a], [0.2 * a, a + 1.0]])
+    for row in mat_inverse(m).entries:
+        for e in row:
+            assert e.accuracy == acc and not e.coeffs[above].any()
 
 
 def test_reciprocal_against_oracle_and_roundtrip():

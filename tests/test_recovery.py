@@ -13,7 +13,12 @@ from elastic_dtn.recovery import (
     recover_full,
     recover_order0,
 )
-from elastic_dtn.scenes import SceneError, random_scene
+from elastic_dtn.scenes import SceneError, canonical_json, random_scene
+from elastic_dtn.serialize import (
+    observed_from_json,
+    recovered_to_json,
+    symbols_to_json,
+)
 from elastic_dtn.symbols import build_context, dtn_symbols, solve_q
 from elastic_dtn.jets import reciprocal
 
@@ -273,3 +278,26 @@ def test_cross_check_mode():
     obs, _ = forward_observed(scene, 1)
     data = recover_full(obs, 1, cross_check=True)
     assert data.diagnostics["cross_check"] < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_noise_above_level_accuracy_leaves_recovery_unchanged(n):
+    """Soundness of the accuracy bookkeeping, through the symbols document."""
+    scene = random_scene(90 + n, dimension=n, truncation_order=6, order=3)
+    observed, _ = forward_observed(scene, 3)
+    doc = symbols_to_json(observed.p, scene.lame, scene.context)
+    clean = recovered_to_json(recover_full(observed_from_json(doc), 3))
+
+    rng = np.random.default_rng(n)
+    noised = 0
+    for key, level in doc["levels"].items():
+        above = [" ".join(map(str, m)) for m in scene.context.monomials
+                 if sum(m) > doc["accuracy"][key]]
+        for row in level:
+            for jet_map in row:
+                for exps in above:
+                    jet_map[exps] = list(rng.uniform(-1.0, 1.0, size=2))
+                    noised += 1
+    assert noised
+    noisy = recovered_to_json(recover_full(observed_from_json(doc), 3))
+    assert canonical_json(noisy) == canonical_json(clean)
