@@ -200,7 +200,7 @@ def _verify_checks(scene: SceneConfig, tol_override=None) -> list[dict]:
             "passed": bool(residual <= tolerance),
         })
 
-    from .geometry import apply_decomposition, lame_apply, prepare
+    from .geometry import apply_decomposition, lame_apply
 
     worst = 0.0
     for _ in range(3):
@@ -237,7 +237,7 @@ def _verify_checks(scene: SceneConfig, tol_override=None) -> list[dict]:
         worst = max(worst, (lin_inverse(solve_q(E, ctx), ctx) - E).max_abs())
     record("solve_inverse_roundtrip", worst, 1e-12)
 
-    geo = prepare(scene.metric)
+    geo = ctx.geo
     nn = n - 1
     xi = [Jet.xi_component(scene.context, a) for a in range(nn)]
     xi_up = ctx.xi_up
@@ -257,7 +257,7 @@ def _verify_checks(scene: SceneConfig, tol_override=None) -> list[dict]:
     for a in range(nn):
         trace = trace + geo.gamma[a, nn, a]
         for b in range(nn):
-            lhs = lhs + ctx.ginv[a, b] * ctx.g[a, b].dn()
+            lhs = lhs + geo.ginv[a, b] * geo.g[a, b].dn()
     record("gamma_identity_trace", (trace - 0.5 * lhs).max_abs(),
            scene.tolerance("algebra"))
 

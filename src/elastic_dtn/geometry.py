@@ -15,7 +15,8 @@ the module's central oracle and is exercised heavily in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,21 @@ class LameJet:
     @classmethod
     def constant(cls, context: JetContext, lam: float, mu: float) -> "LameJet":
         return cls(Jet.constant(context, lam), Jet.constant(context, mu))
+
+    @cached_property
+    def inv_mu(self) -> Jet:
+        """1 / mu."""
+        return reciprocal(self.mu)
+
+    @cached_property
+    def inv_l2m(self) -> Jet:
+        """1 / (lambda + 2 mu)."""
+        return reciprocal(self.lam + 2 * self.mu)
+
+    @cached_property
+    def inv_l3m(self) -> Jet:
+        """1 / (lambda + 3 mu)."""
+        return reciprocal(self.lam + 3 * self.mu)
 
 
 @dataclass(frozen=True)
@@ -220,6 +236,37 @@ class _Geometry:
     g: JetMatrix
     ginv: JetMatrix
     gamma: ChristoffelField
+    _raised: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    @cached_property
+    def trace(self) -> tuple:
+        """Connection traces Gamma^c_{cb} (tangential c) for every b."""
+        ctx = self.g.context
+        n = ctx.dimension
+        out = []
+        for b in range(n):
+            acc = Jet.zero(ctx)
+            for c in range(n - 1):
+                acc = acc + self.gamma[c, c, b]
+            out.append(acc)
+        return tuple(out)
+
+    def raised_gradient(self, f: Jet) -> tuple:
+        """Raised tangential gradient g^{ab} d_b f for every tangential a."""
+        hit = self._raised.get(id(f))
+        if hit is None:
+            ctx = self.g.context
+            nn = ctx.dimension - 1
+            grad = []
+            for a in range(nn):
+                acc = Jet.zero(ctx)
+                for b in range(nn):
+                    acc = acc + self.ginv[a, b] * f.dx(b)
+                grad.append(acc)
+            # the field is kept alive so that its id is not reused
+            hit = self._raised[id(f)] = (f, tuple(grad))
+        return hit[1]
 
 
 def prepare(metric: MetricJet) -> _Geometry:
@@ -317,10 +364,13 @@ def lame_apply(u: VectorFieldJet, metric: MetricJet, lame: LameJet) -> VectorFie
 
 # -- the normal-direction second-order system ---------------------------
 #
-# The first- and zeroth-order coefficient matrices below are transcribed
-# directly as differential operators.  The symbol module re-transcribes
-# them independently as functions of the cotangent variable; the
-# plane-wave consistency check ties the two transcriptions together.
+# The coefficient matrices below are transcribed directly as differential
+# operators.  The symbol module re-transcribes the first- and second-order
+# parts (b1, c2, c1) independently as functions of the cotangent variable,
+# and the plane-wave consistency check ties the two transcriptions
+# together.  The multiplier parts (b0, c0) exist only here; the symbol
+# module imports them, and the operator identity against ``lame_apply``
+# is what checks them.
 
 
 def leading_coefficient(lame: LameJet, context: JetContext) -> JetMatrix:
@@ -332,9 +382,7 @@ def leading_coefficient(lame: LameJet, context: JetContext) -> JetMatrix:
 
 def leading_coefficient_inverse(lame: LameJet, context: JetContext) -> JetMatrix:
     n = context.dimension
-    inv_mu = reciprocal(lame.mu)
-    diag = [inv_mu] * (n - 1) + [reciprocal(lame.lam + 2 * lame.mu)]
-    return JetMatrix.diagonal(context, diag)
+    return JetMatrix.diagonal(context, [lame.inv_mu] * (n - 1) + [lame.inv_l2m])
 
 
 def normal_multiplier_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
@@ -342,32 +390,21 @@ def normal_multiplier_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
     ctx = geo.g.context
     n = ctx.dimension
     nn = n - 1
-    ginv, gamma = geo.ginv, geo.gamma
+    gamma, trace = geo.gamma, geo.trace
     lam, mu = lame.lam, lame.mu
-    inv_mu = reciprocal(mu)
-    inv_l2m = reciprocal(lam + 2 * mu)
-
-    trace_gn = Jet.zero(ctx)
-    for c in range(nn):
-        trace_gn = trace_gn + gamma[c, c, nn]
+    inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
+    grad_lam = geo.raised_gradient(lam)
 
     out = JetMatrix.zeros(ctx, n, n)
     for a in range(nn):
         for b in range(nn):
             entry = 2 * gamma[a, b, nn]
             if a == b:
-                entry = entry + trace_gn + inv_mu * mu.dn()
+                entry = entry + trace[nn] + inv_mu * mu.dn()
             out.entries[a][b] = entry
-        nabla_lam = Jet.zero(ctx)
-        for b in range(nn):
-            nabla_lam = nabla_lam + ginv[a, b] * lam.dx(b)
-        out.entries[a][nn] = inv_mu * nabla_lam
-    for b in range(nn):
-        trace_gb = Jet.zero(ctx)
-        for c in range(nn):
-            trace_gb = trace_gb + gamma[c, c, b]
-        out.entries[nn][b] = (lam + mu) * inv_l2m * trace_gb + inv_l2m * mu.dx(b)
-    out.entries[nn][nn] = trace_gn + inv_l2m * (lam + 2 * mu).dn()
+        out.entries[a][nn] = inv_mu * grad_lam[a]
+        out.entries[nn][a] = (lam + mu) * inv_l2m * trace[a] + inv_l2m * mu.dx(a)
+    out.entries[nn][nn] = trace[nn] + inv_l2m * (lam + 2 * mu).dn()
     return out
 
 
@@ -376,20 +413,11 @@ def zeroth_order_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
     ctx = geo.g.context
     n = ctx.dimension
     nn = n - 1
-    ginv, gamma = geo.ginv, geo.gamma
+    ginv, gamma, trace = geo.ginv, geo.gamma, geo.trace
     lam, mu = lame.lam, lame.mu
-    inv_mu = reciprocal(mu)
-    inv_l2m = reciprocal(lam + 2 * mu)
-
-    def trace_low(b: int) -> Jet:
-        acc = Jet.zero(ctx)
-        for c in range(nn):
-            acc = acc + gamma[c, c, b]
-        return acc
-
-    trace_low_n = Jet.zero(ctx)
-    for c in range(nn):
-        trace_low_n = trace_low_n + gamma[c, c, nn]
+    inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
+    s_ratio = (lam + mu) * inv_mu
+    grad_lam = geo.raised_gradient(lam)
 
     def contracted(j: int, k: int) -> Jet:
         # g^{ml} d_k Gamma^j_{ml}, Roman sum
@@ -399,36 +427,20 @@ def zeroth_order_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
                 acc = acc + ginv[m, l] * gamma[j, m, l].dx(k)
         return acc
 
-    def nabla_up(f: Jet, a: int) -> Jet:
-        acc = Jet.zero(ctx)
-        for b in range(nn):
-            acc = acc + ginv[a, b] * f.dx(b)
-        return acc
-
+    # the order of each sum is part of the output: symbols documents carry
+    # its last bits
     out = JetMatrix.zeros(ctx, n, n)
     for a in range(nn):
-        for b in range(nn):
+        for b in range(n):
             entry = contracted(a, b)
             for c in range(nn):
-                entry = entry + (lam + mu) * inv_mu * ginv[a, c] * trace_low(b).dx(c)
-            entry = entry + inv_mu * nabla_up(lam, a) * trace_low(b)
-            for c in range(nn):
+                entry = entry + s_ratio * ginv[a, c] * trace[b].dx(c)
                 entry = entry - inv_mu * mu.dx(c) * ginv[a, c].dx(b)
-            out.entries[a][b] = entry
-        entry = contracted(a, nn)
-        for c in range(nn):
-            entry = entry + (lam + mu) * inv_mu * ginv[a, c] * trace_low_n.dx(c)
-        entry = entry + inv_mu * nabla_up(lam, a) * trace_low_n
-        for b in range(nn):
-            entry = entry - inv_mu * mu.dx(b) * ginv[a, b].dn()
-        out.entries[a][nn] = entry
-    for b in range(nn):
-        out.entries[nn][b] = (lam + mu) * inv_l2m * trace_low(b).dn() \
+            out.entries[a][b] = entry + inv_mu * grad_lam[a] * trace[b]
+    for b in range(n):
+        out.entries[nn][b] = (lam + mu) * inv_l2m * trace[b].dn() \
             + mu * inv_l2m * contracted(nn, b) \
-            + inv_l2m * lam.dn() * trace_low(b)
-    out.entries[nn][nn] = (lam + mu) * inv_l2m * trace_low_n.dn() \
-        + mu * inv_l2m * contracted(nn, nn) \
-        + inv_l2m * lam.dn() * trace_low_n
+            + inv_l2m * lam.dn() * trace[b]
     return out
 
 
@@ -439,8 +451,7 @@ def apply_B(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
     nn = n - 1
     ginv = geo.ginv
     lam, mu = lame.lam, lame.mu
-    inv_mu = reciprocal(mu)
-    inv_l2m = reciprocal(lam + 2 * mu)
+    inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
     comps = v.components
 
     out = []
@@ -466,11 +477,12 @@ def apply_C(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
     ctx = v.context
     n = ctx.dimension
     nn = n - 1
-    ginv, gamma = geo.ginv, geo.gamma
+    ginv, gamma, trace = geo.ginv, geo.gamma, geo.trace
     lam, mu = lame.lam, lame.mu
-    inv_mu = reciprocal(mu)
-    inv_l2m = reciprocal(lam + 2 * mu)
+    inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
     s_ratio = (lam + mu) * inv_mu
+    grad_lam = geo.raised_gradient(lam)
+    grad_mu = geo.raised_gradient(mu)
     comps = v.components
 
     def tangential_laplace(f: Jet) -> Jet:
@@ -491,22 +503,6 @@ def apply_C(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
                 acc = acc + coef * f.dx(b)
         return acc
 
-    def nabla_up(f: Jet, a: int) -> Jet:
-        acc = Jet.zero(ctx)
-        for b in range(nn):
-            acc = acc + ginv[a, b] * f.dx(b)
-        return acc
-
-    trace_gn = Jet.zero(ctx)
-    for c in range(nn):
-        trace_gn = trace_gn + gamma[c, c, nn]
-    trace_g = []
-    for b in range(nn):
-        acc = Jet.zero(ctx)
-        for c in range(nn):
-            acc = acc + gamma[c, c, b]
-        trace_g.append(acc)
-
     out = []
     for a in range(nn):
         term = tangential_laplace(comps[a])
@@ -515,18 +511,18 @@ def apply_C(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
                 term = term + s_ratio * ginv[a, c] * comps[b].dx(c).dx(b)
         term = term + scalar_first_order(comps[a])
         for c in range(nn):
-            term = term + s_ratio * ginv[a, c] * trace_gn * comps[nn].dx(c)
+            term = term + s_ratio * ginv[a, c] * trace[nn] * comps[nn].dx(c)
             for b in range(nn):
-                term = term + s_ratio * ginv[a, c] * trace_g[b] * comps[b].dx(c)
+                term = term + s_ratio * ginv[a, c] * trace[b] * comps[b].dx(c)
         for c in range(nn):
             for r in range(nn):
                 term = term + 2 * ginv[c, r] * gamma[a, r, nn] * comps[nn].dx(c)
                 for b in range(nn):
                     term = term + 2 * ginv[c, r] * gamma[a, r, b] * comps[b].dx(c)
         for c in range(nn):
-            term = term + inv_mu * nabla_up(mu, c) * comps[a].dx(c)
+            term = term + inv_mu * grad_mu[c] * comps[a].dx(c)
         for b in range(nn):
-            term = term + inv_mu * nabla_up(lam, a) * comps[b].dx(b)
+            term = term + inv_mu * grad_lam[a] * comps[b].dx(b)
             for c in range(nn):
                 term = term + inv_mu * ginv[a, c] * mu.dx(b) * comps[b].dx(c)
         for b in range(nn):
@@ -543,7 +539,7 @@ def apply_C(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
     for b in range(nn):
         last = last + inv_l2m * lam.dn() * comps[b].dx(b)
     for c in range(nn):
-        last = last + inv_l2m * nabla_up(mu, c) * comps[nn].dx(c)
+        last = last + inv_l2m * grad_mu[c] * comps[nn].dx(c)
     out.append(last)
 
     mult = zeroth_order_matrix(geo, lame)

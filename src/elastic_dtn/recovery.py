@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LameJet, MetricJet
+from .geometry import (
+    LameJet,
+    MetricJet,
+    assemble_full_metric,
+    leading_coefficient_inverse,
+)
 from .jets import (
     AccuracyExhausted,
     Jet,
@@ -28,7 +33,13 @@ from .jets import (
     reciprocal,
 )
 from .scenes import SceneError
-from .symbols import SymbolContext, SymbolLevels, build_context, dtn_symbols
+from .symbols import (
+    Factorization,
+    SymbolLevels,
+    build_context,
+    dtn_symbols,
+    factorization,
+)
 
 QUADRATICITY_TOL = 1e-6
 IMAGINARY_TOL = 1e-9
@@ -156,15 +167,20 @@ def extract_quadratic_sampled(Q: Jet):
     return block
 
 
-def recover_order0(obs: ObservedSymbols, quadraticity_tol: float = QUADRATICITY_TOL,
-                   imaginary_tol: float = IMAGINARY_TOL):
-    """Boundary inverse metric (with tangential jets) from the principal level."""
-    chart = obs.chart
-    n = chart.dimension
+def _principal_norm(obs: ObservedSymbols) -> Jet:
+    """Cotangent norm read off the (n,n) entry of the principal level."""
+    n = obs.chart.dimension
     lam = obs.lame.lam.at_boundary()
     mu = obs.lame.mu.at_boundary()
     corner = obs.p.level(1)[n - 1, n - 1].at_boundary()
-    norm_rec = (lam + 3 * mu) * corner * reciprocal(2 * (mu * (lam + 2 * mu)))
+    return (lam + 3 * mu) * corner * reciprocal(2 * (mu * (lam + 2 * mu)))
+
+
+def recover_order0(obs: ObservedSymbols, quadraticity_tol: float = QUADRATICITY_TOL,
+                   imaginary_tol: float = IMAGINARY_TOL):
+    """Boundary inverse metric (with tangential jets) from the principal level."""
+    n = obs.chart.dimension
+    norm_rec = _principal_norm(obs)
     if norm_rec.constant_term.real <= 0:
         raise ConsistencyError("recovered cotangent norm is not positive")
     norm_sq = norm_rec * norm_rec
@@ -185,7 +201,7 @@ def recover_order0(obs: ObservedSymbols, quadraticity_tol: float = QUADRATICITY_
     return tuple(tuple(r) for r in out), diag
 
 
-def lin_inverse(X: JetMatrix, ctx: SymbolContext) -> JetMatrix:
+def lin_inverse(X: JetMatrix, ctx: Factorization) -> JetMatrix:
     """Map a level back to the right-hand side it solves.
 
     This is the exact inverse of :func:`elastic_dtn.symbols.solve_q`:
@@ -216,33 +232,36 @@ def _reference_metric(chart: JetContext, partial: RecoveredBoundaryData,
         for a in range(nn):
             for b in range(nn):
                 entries[a][b] = entries[a][b] + _exactified(deriv[a][b]) * weight
-    ginv_ref = JetMatrix(chart, entries)
-    g_ref = mat_inverse(ginv_ref)
-    return MetricJet(chart, [[g_ref[a, b].real_part() for b in range(nn)]
-                             for a in range(nn)])
+    return _metric_from_inverse(chart, entries)
 
 
-def _boundary_symbol_context(obs: ObservedSymbols,
-                             partial: RecoveredBoundaryData) -> SymbolContext:
-    chart = obs.chart
+def _metric_from_inverse(chart: JetContext, ginv_entries) -> MetricJet:
     nn = chart.dimension - 1
-    ginv = JetMatrix(chart, [[partial.g_inv[a][b] for b in range(nn)]
+    g = mat_inverse(JetMatrix(chart, [list(row) for row in ginv_entries]))
+    return MetricJet(chart, [[g[a, b].real_part() for b in range(nn)]
                              for a in range(nn)])
-    g_low = mat_inverse(ginv)
-    metric = MetricJet(chart, [[g_low[a, b].real_part() for b in range(nn)]
-                               for a in range(nn)])
+
+
+def boundary_factorization(obs: ObservedSymbols, g_inv) -> Factorization:
+    """Factorization data on the boundary, from the order-0 inverse metric.
+
+    Every peeling order reads the same data, so it is built once.
+    """
+    metric = _metric_from_inverse(obs.chart, g_inv)
     lame_b = LameJet(obs.lame.lam.at_boundary(), obs.lame.mu.at_boundary())
-    return build_context(metric, lame_b, chart)
+    return factorization(mat_inverse(assemble_full_metric(metric)), lame_b,
+                         obs.chart)
 
 
 def recover_normal_derivative(m: int, obs: ObservedSymbols,
                               partial: RecoveredBoundaryData,
+                              boundary: Factorization,
                               quadraticity_tol: float = QUADRATICITY_TOL,
                               imaginary_tol: float = IMAGINARY_TOL):
     """Order-m normal derivative of the inverse metric by peeling.
 
-    Needs the observed level of degree 1-m and all recovered orders below
-    m inside ``partial``.
+    Needs the observed level of degree 1-m, all recovered orders below m
+    inside ``partial``, and ``boundary_factorization`` of their order 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -265,9 +284,7 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
     level_ref = sym_ref.level(1 - m).at_boundary()
     delta = level_obs - level_ref
 
-    lam = obs.lame.lam.at_boundary()
-    mu = obs.lame.mu.at_boundary()
-    ctx_b = _boundary_symbol_context(obs, partial)
+    lam, mu = boundary.lame.lam, boundary.lame.mu
     if m == 1:
         residual_entry = delta[nn, nn]
     else:
@@ -277,18 +294,15 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
         # terms that the reference subtraction has already cancelled.
         # After m - 1 applications the (n,n) entry carries the order-m
         # quadratic form.
-        inv_mu = reciprocal(mu)
-        inv_l2m = reciprocal(lam + 2 * mu)
-        lead_inv = JetMatrix.diagonal(chart, [inv_mu] * nn + [inv_l2m])
-        delta_rhs = lead_inv @ delta
+        delta_rhs = leading_coefficient_inverse(boundary.lame, chart) @ delta
         for _ in range(m - 1):
-            delta_rhs = lin_inverse(delta_rhs, ctx_b)
+            delta_rhs = lin_inverse(delta_rhs, boundary)
         residual_entry = delta_rhs[nn, nn]
 
     scale = (lam + 3 * mu) * (lam + 3 * mu) * reciprocal(mu * mu)
     if m >= 2:
         scale = scale * (lam + 2 * mu)
-    form = -residual_entry * scale * ctx_b.norm_sq
+    form = -residual_entry * scale * boundary.norm_sq
 
     # Peeling is law-exact only below a tangential-degree threshold: data
     # of order j is trusted to its stored accuracy, and the recursion
@@ -322,7 +336,7 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
             f"trace denominator must be positive, got {denom_const:g}")
     h = trace * reciprocal(denom)
 
-    inv_l2m = reciprocal(lam + 2 * mu)
+    inv_l2m = boundary.lame.inv_l2m
     worst_imag = 0.0
     out = [[None] * nn for _ in range(nn)]
     for a in range(nn):
@@ -359,10 +373,11 @@ def recover_full(obs: ObservedSymbols, M: int,
     data = RecoveredBoundaryData(obs.chart, g_inv, [], diagnostics)
     if cross_check:
         diagnostics["cross_check"] = _cross_check_residual(obs, g_inv)
+    boundary = boundary_factorization(obs, g_inv) if M else None
     for m in range(1, M + 1):
         try:
             block, diag = recover_normal_derivative(
-                m, obs, data, quadraticity_tol, imaginary_tol)
+                m, obs, data, boundary, quadraticity_tol, imaginary_tol)
         except (ConsistencyError, AccuracyExhausted) as exc:
             raise type(exc)(f"order {m}: {exc}") from exc
         data.normal_derivs.append(block)
@@ -377,12 +392,8 @@ def recover_full(obs: ObservedSymbols, M: int,
 
 def _cross_check_residual(obs: ObservedSymbols, g_inv) -> float:
     """Deviation between Hessian and polarization extraction at order 0."""
-    chart = obs.chart
-    n = chart.dimension
-    lam = obs.lame.lam.at_boundary()
-    mu = obs.lame.mu.at_boundary()
-    corner = obs.p.level(1)[n - 1, n - 1].at_boundary()
-    norm_rec = (lam + 3 * mu) * corner * reciprocal(2 * (mu * (lam + 2 * mu)))
+    n = obs.chart.dimension
+    norm_rec = _principal_norm(obs)
     sampled = extract_quadratic_sampled(norm_rec * norm_rec)
     worst = 0.0
     for a in range(n - 1):

@@ -14,8 +14,10 @@ cotangent offsets), and metric blocks key ``"a,b"`` with 1-based indices
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -26,7 +28,7 @@ from .jets import Jet, JetContext
 
 SCHEMA_VERSION = 1
 
-_METRIC_KEY = re.compile(r"^(\d+),(\d+)$")
+_BLOCK_KEY = re.compile(r"^(\d+),(\d+)$")
 
 DEFAULT_TOLERANCES = {
     "roundtrip": 1e-6,
@@ -66,12 +68,14 @@ def complex_to_json(value: complex) -> list:
 
 
 def complex_from_json(value, where: str = "value") -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(p, (int, float)) for p in value)):
-        return complex(value[0], value[1])
-    raise SceneError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    parts = [value, 0] if isinstance(value, (int, float)) else value
+    # the bound also rejects NaN and integers too large for a float
+    if (isinstance(parts, list) and len(parts) == 2
+            and all(isinstance(p, (int, float)) and abs(p) <= sys.float_info.max
+                    for p in parts)):
+        return complex(parts[0], parts[1])
+    raise SceneError(f"{where}: expected a finite number or [re, im] pair, "
+                     f"got {value!r}")
 
 
 def jet_to_map(jet: Jet) -> dict:
@@ -116,9 +120,12 @@ def context_to_json(context: JetContext) -> dict:
 
 def context_from_json(data: dict, where: str = "chart") -> JetContext:
     try:
+        covector = [float(v) for v in data["base_covector"]]
+        if not all(math.isfinite(v) for v in covector):
+            raise ValueError(f"base covector must be finite, got {covector}")
         return JetContext(int(data["dimension"]), int(data["truncation_order"]),
-                          [float(v) for v in data["base_covector"]])
-    except (KeyError, TypeError, ValueError) as exc:
+                          covector)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"{where}: invalid chart: {exc}") from exc
 
 
@@ -131,19 +138,25 @@ def metric_to_json(metric: MetricJet) -> dict:
     return out
 
 
+def block_key(key: str, size: int, where: str) -> tuple[int, int]:
+    """1-based ``"a,b"`` key of a symmetric block with a <= b <= size."""
+    match = _BLOCK_KEY.match(key)
+    if not match:
+        raise SceneError(f"{where}: malformed key {key!r} (expected 'a,b')")
+    a, b = int(match.group(1)), int(match.group(2))
+    if not (1 <= a <= b <= size):
+        raise SceneError(
+            f"{where}: key {key!r} out of range (need 1 <= a <= b <= {size})")
+    return a, b
+
+
 def metric_from_json(context: JetContext, data: dict) -> MetricJet:
     n = context.dimension
     zero = Jet.zero(context)
     entries = [[zero for _ in range(n - 1)] for _ in range(n - 1)]
     seen = set()
     for key, jet_map in data.items():
-        match = _METRIC_KEY.match(key)
-        if not match:
-            raise SceneError(f"metric: malformed key {key!r} (expected 'a,b')")
-        a, b = int(match.group(1)), int(match.group(2))
-        if not (1 <= a <= b <= n - 1):
-            raise SceneError(
-                f"metric: key {key!r} out of range (need 1 <= a <= b <= {n - 1})")
+        a, b = block_key(key, n - 1, "metric")
         jet = jet_from_map(context, jet_map, where=f"metric[{key!r}]")
         if jet.max_imag(trusted=False) > 1e-12:
             raise SceneError(f"metric[{key!r}]: coefficients must be real")
@@ -196,11 +209,18 @@ def scene_from_json(data: dict) -> SceneConfig:
                 "lambda", "mu"):
         if key not in data:
             raise SceneError(f"scene: missing required key {key!r}")
+    tolerances = data.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise SceneError("scene: tolerances must be an object")
     try:
         n = int(data["dimension"])
         order = int(data.get("order", 3))
-    except (TypeError, ValueError) as exc:
+        seed = None if data.get("seed") is None else int(data["seed"])
+        tolerances = {k: float(v) for k, v in tolerances.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"scene: {exc}") from exc
+    if not all(math.isfinite(v) for v in tolerances.values()):
+        raise SceneError(f"scene: tolerances must be finite, got {tolerances}")
     context = context_from_json(
         {
             "dimension": n,
@@ -217,10 +237,6 @@ def scene_from_json(data: dict) -> SceneConfig:
             f"order {order} (need truncation_order >= order + 3)")
     metric = metric_from_json(context, data["metric"])
     lame = lame_from_json(context, data["lambda"], data["mu"])
-    seed = data.get("seed")
-    tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise SceneError("scene: tolerances must be an object")
     unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise SceneError(f"scene: unknown tolerance keys {sorted(unknown)}")
@@ -232,8 +248,8 @@ def scene_from_json(data: dict) -> SceneConfig:
         lame=lame,
         context=context,
         order=order,
-        seed=None if seed is None else int(seed),
-        tolerances={k: float(v) for k, v in tolerances.items()},
+        seed=seed,
+        tolerances=tolerances,
     )
 
 

@@ -8,6 +8,7 @@ from .recovery import ObservedSymbols, RecoveredBoundaryData
 from .scenes import (
     SCHEMA_VERSION,
     SceneError,
+    block_key,
     context_from_json,
     context_to_json,
     jet_from_map,
@@ -69,6 +70,9 @@ def observed_from_json(data: dict) -> ObservedSymbols:
     for key in ("kind", "chart", "levels", "lame"):
         if key not in data:
             raise SceneError(f"symbols document: missing key {key!r}")
+    for key in ("levels", "lame"):
+        if not isinstance(data[key], dict):
+            raise SceneError(f"symbols document: {key} must be an object")
     chart = context_from_json(data["chart"])
     accuracy = _accuracy_map(data, chart, "symbols document")
     levels = {}
@@ -124,14 +128,19 @@ def recovered_to_json(data: RecoveredBoundaryData) -> dict:
 def recovered_from_json(data: dict) -> RecoveredBoundaryData:
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
         raise SceneError("recovered document: bad or missing schema")
+    for key in ("chart", "g_inv"):
+        if key not in data:
+            raise SceneError(f"recovered document: missing key {key!r}")
     chart = context_from_json(data["chart"])
     nn = chart.dimension - 1
     accuracy = _accuracy_map(data, chart, "recovered document")
 
     def block_from_json(doc, where, acc):
+        if not isinstance(doc, dict):
+            raise SceneError(f"{where}: expected an object of 'a,b' entries")
         rows = [[None] * nn for _ in range(nn)]
         for key, jet_map in doc.items():
-            a, b = (int(p) for p in key.split(","))
+            a, b = block_key(key, nn, where)
             jet = jet_from_map(chart, jet_map, where=f"{where}[{key!r}]",
                                accuracy=acc)
             rows[a - 1][b - 1] = jet
@@ -141,11 +150,17 @@ def recovered_from_json(data: dict) -> RecoveredBoundaryData:
         return tuple(tuple(r) for r in rows)
 
     g_inv = block_from_json(data["g_inv"], "g_inv", accuracy.get("g_inv"))
+    orders = data.get("normal_derivatives", {})
+    if not isinstance(orders, dict):
+        raise SceneError("recovered document: normal_derivatives must be an object")
     derivs = []
-    for m in range(1, len(data.get("normal_derivatives", {})) + 1):
-        doc = data["normal_derivatives"].get(str(m))
+    for m in range(1, len(orders) + 1):
+        doc = orders.get(str(m))
         if doc is None:
             raise SceneError(f"recovered document: missing order {m}")
         derivs.append(block_from_json(doc, f"order {m}", accuracy.get(str(m))))
-    return RecoveredBoundaryData(chart, g_inv, derivs,
-                                 data.get("diagnostics", {}))
+    try:
+        return RecoveredBoundaryData(chart, g_inv, derivs,
+                                     data.get("diagnostics", {}))
+    except ValueError as exc:
+        raise SceneError(f"recovered document: {exc}") from exc

@@ -8,10 +8,12 @@ q_1, q_0, q_{-1}, ..., and the boundary operator's levels p_1, p_0, ...
 follow.  Levels are jets centered at the base covector, so homogeneity is
 not represented structurally; each level is an independent jet.
 
-The first- and zeroth-order multiplier matrices are transcribed here a
-second time, independently of the differential-operator transcription in
-:mod:`elastic_dtn.geometry`; the plane-wave consistency report ties the
-two together.
+The levels b_1, c_2 and c_1 are transcribed here as functions of the
+cotangent variable, independently of the differential-operator
+transcription in :mod:`elastic_dtn.geometry`; the plane-wave consistency
+report ties the two together.  The multiplier levels b_0 and c_0 are
+taken from :mod:`elastic_dtn.geometry`, where the operator identity
+checks them.
 """
 
 from __future__ import annotations
@@ -20,48 +22,55 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .geometry import (
-    ChristoffelField,
     LameJet,
     MetricJet,
+    _Geometry,
     leading_coefficient,
-    leading_coefficient_inverse,
+    normal_multiplier_matrix,
     prepare,
+    zeroth_order_matrix,
 )
 from .jets import (
     AccuracyExhausted,
     Jet,
     JetContext,
     JetMatrix,
+    MultiIndex,
     reciprocal,
     sqrt,
 )
 
 
 @dataclass(frozen=True)
-class SymbolContext:
-    """Chart data plus every derived jet the level recursion consumes."""
+class Factorization:
+    """Cotangent norm and rank-structured matrices of the factorization.
+
+    This is all that the level solver, its inverse and layer peeling read.
+    """
 
     chart: JetContext
-    metric: MetricJet
     lame: LameJet
-    g: JetMatrix
-    ginv: JetMatrix
-    gamma: ChristoffelField
     xi_down: tuple
     xi_up: tuple
     norm_sq: Jet
     norm: Jet
     inv_norm: Jet
     s2: Jet
+    f1: JetMatrix
+    f2: JetMatrix
+
+
+@dataclass(frozen=True)
+class SymbolContext(Factorization):
+    """Factorization data plus every other jet the level recursion consumes."""
+
+    geo: _Geometry
     lead: JetMatrix
-    lead_inv: JetMatrix
     b1: JetMatrix
     b0: JetMatrix
     c2: JetMatrix
     c1: JetMatrix
     c0: JetMatrix
-    f1: JetMatrix
-    f2: JetMatrix
 
 
 @dataclass(frozen=True)
@@ -97,21 +106,13 @@ class SymbolLevels:
         """Largest M with the degree -M level present (-1: principal only)."""
         return -self.min_degree
 
-    def accuracy_map(self) -> dict:
-        return {degree: matrix.accuracy for degree, matrix in self.levels.items()}
 
-
-def build_context(metric: MetricJet, lame: LameJet,
-                  chart: JetContext) -> SymbolContext:
-    """Assemble every symbol-side jet for one admissible chart."""
+def factorization(ginv: JetMatrix, lame: LameJet,
+                  chart: JetContext) -> Factorization:
+    """Factorization data from the inverse metric (its tangential block)."""
     n = chart.dimension
     nn = n - 1
-    geo = prepare(metric)
-    g, ginv, gamma = geo.g, geo.ginv, geo.gamma
     lam, mu = lame.lam, lame.mu
-    inv_mu = reciprocal(mu)
-    inv_l2m = reciprocal(lam + 2 * mu)
-    inv_l3m = reciprocal(lam + 3 * mu)
 
     xi_down = tuple(Jet.xi_component(chart, a) for a in range(nn))
     xi_up = tuple(
@@ -122,42 +123,43 @@ def build_context(metric: MetricJet, lame: LameJet,
                   xi_up[0] * xi_down[0])
     norm = sqrt(norm_sq)
     inv_norm = reciprocal(norm)
-    s2 = (lam + mu) * inv_l3m
+    s2 = (lam + mu) * lame.inv_l3m
 
-    def trace_low(b: int) -> Jet:
-        acc = Jet.zero(chart)
-        for c in range(nn):
-            acc = acc + gamma[c, c, b]
-        return acc
-
-    trace_low_n = Jet.zero(chart)
-    for c in range(nn):
-        trace_low_n = trace_low_n + gamma[c, c, nn]
-
-    def nabla_up(f: Jet, a: int) -> Jet:
-        acc = Jet.zero(chart)
+    f1 = JetMatrix.zeros(chart, n, n)
+    f2 = JetMatrix.zeros(chart, n, n)
+    for a in range(nn):
         for b in range(nn):
-            acc = acc + ginv[a, b] * f.dx(b)
-        return acc
+            f1.entries[a][b] = inv_norm * xi_up[a] * xi_down[b]
+            f2.entries[a][b] = f1.entries[a][b]
+        f1.entries[a][nn] = 1j * xi_up[a]
+        f1.entries[nn][a] = 1j * xi_down[a]
+        f2.entries[a][nn] = -1j * (lam + 2 * mu) * lame.inv_mu * xi_up[a]
+        f2.entries[nn][a] = -1j * mu * lame.inv_l2m * xi_down[a]
+    f1.entries[nn][nn] = -norm
+    f2.entries[nn][nn] = -norm
+    return Factorization(chart, lame, xi_down, xi_up, norm_sq, norm, inv_norm,
+                         s2, f1, f2)
+
+
+def build_context(metric: MetricJet, lame: LameJet,
+                  chart: JetContext) -> SymbolContext:
+    """Assemble every symbol-side jet for one admissible chart."""
+    n = chart.dimension
+    nn = n - 1
+    geo = prepare(metric)
+    gamma, trace = geo.gamma, geo.trace
+    lam, mu = lame.lam, lame.mu
+    inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
+    grad_lam = geo.raised_gradient(lam)
+    grad_mu = geo.raised_gradient(mu)
+    fac = factorization(geo.ginv, lame, chart)
+    xi_down, xi_up, norm_sq = fac.xi_down, fac.xi_up, fac.norm_sq
 
     # first-order block, degree-one part
     b1 = JetMatrix.zeros(chart, n, n)
     for a in range(nn):
         b1.entries[a][nn] = 1j * (lam + mu) * inv_mu * xi_up[a]
         b1.entries[nn][a] = 1j * (lam + mu) * inv_l2m * xi_down[a]
-
-    # first-order block, multiplier part
-    b0 = JetMatrix.zeros(chart, n, n)
-    for a in range(nn):
-        for b in range(nn):
-            entry = 2 * gamma[a, b, nn]
-            if a == b:
-                entry = entry + trace_low_n + inv_mu * mu.dn()
-            b0.entries[a][b] = entry
-        b0.entries[a][nn] = inv_mu * nabla_up(lam, a)
-        b0.entries[nn][a] = (lam + mu) * inv_l2m * trace_low(a) \
-            + inv_l2m * mu.dx(a)
-    b0.entries[nn][nn] = trace_low_n + inv_l2m * (lam + 2 * mu).dn()
 
     # tangential block, degree-two part
     c2 = JetMatrix.zeros(chart, n, n)
@@ -172,23 +174,23 @@ def build_context(metric: MetricJet, lame: LameJet,
     # tangential block, degree-one part
     scalar = Jet.zero(chart)
     for a in range(nn):
-        scalar = scalar + xi_up[a] * trace_low(a) + xi_up[a].dx(a)
+        scalar = scalar + xi_up[a] * trace[a] + xi_up[a].dx(a)
     xi_grad_mu = Jet.zero(chart)
     for a in range(nn):
-        xi_grad_mu = xi_grad_mu + xi_down[a] * nabla_up(mu, a)
+        xi_grad_mu = xi_grad_mu + xi_down[a] * grad_mu[a]
 
     c1 = JetMatrix.zeros(chart, n, n)
     for a in range(nn):
         for b in range(nn):
-            entry = 1j * (lam + mu) * inv_mu * xi_up[a] * trace_low(b)
+            entry = 1j * (lam + mu) * inv_mu * xi_up[a] * trace[b]
             for c in range(nn):
                 entry = entry + 2j * xi_up[c] * gamma[a, c, b]
-            entry = entry + 1j * inv_mu * (xi_down[b] * nabla_up(lam, a)
+            entry = entry + 1j * inv_mu * (xi_down[b] * grad_lam[a]
                                            + xi_up[a] * mu.dx(b))
             if a == b:
                 entry = entry + 1j * scalar + 1j * inv_mu * xi_grad_mu
             c1.entries[a][b] = entry
-        entry = 1j * (lam + mu) * inv_mu * trace_low_n * xi_up[a]
+        entry = 1j * (lam + mu) * inv_mu * trace[nn] * xi_up[a]
         for c in range(nn):
             entry = entry + 2j * xi_up[c] * gamma[a, c, nn]
         entry = entry + 1j * inv_mu * mu.dn() * xi_up[a]
@@ -202,59 +204,10 @@ def build_context(metric: MetricJet, lame: LameJet,
     c1.entries[nn][nn] = 1j * mu * inv_l2m * scalar \
         + 1j * inv_l2m * xi_grad_mu
 
-    # tangential block, multiplier part
-    def contracted(j: int, k: int) -> Jet:
-        acc = Jet.zero(chart)
-        for m_ in range(n):
-            for l in range(n):
-                acc = acc + ginv[m_, l] * gamma[j, m_, l].dx(k)
-        return acc
-
-    c0 = JetMatrix.zeros(chart, n, n)
-    for a in range(nn):
-        for b in range(nn):
-            entry = contracted(a, b)
-            for c in range(nn):
-                entry = entry + (lam + mu) * inv_mu * ginv[a, c] \
-                    * trace_low(b).dx(c)
-                entry = entry - inv_mu * mu.dx(c) * ginv[a, c].dx(b)
-            entry = entry + inv_mu * nabla_up(lam, a) * trace_low(b)
-            c0.entries[a][b] = entry
-        entry = contracted(a, nn)
-        for c in range(nn):
-            entry = entry + (lam + mu) * inv_mu * ginv[a, c] * trace_low_n.dx(c)
-            entry = entry - inv_mu * mu.dx(c) * ginv[a, c].dn()
-        entry = entry + inv_mu * nabla_up(lam, a) * trace_low_n
-        c0.entries[a][nn] = entry
-    for b in range(nn):
-        c0.entries[nn][b] = (lam + mu) * inv_l2m * trace_low(b).dn() \
-            + mu * inv_l2m * contracted(nn, b) \
-            + inv_l2m * lam.dn() * trace_low(b)
-    c0.entries[nn][nn] = (lam + mu) * inv_l2m * trace_low_n.dn() \
-        + mu * inv_l2m * contracted(nn, nn) \
-        + inv_l2m * lam.dn() * trace_low_n
-
-    # the two rank-structured matrices of the factorization algebra
-    f1 = JetMatrix.zeros(chart, n, n)
-    f2 = JetMatrix.zeros(chart, n, n)
-    for a in range(nn):
-        for b in range(nn):
-            f1.entries[a][b] = inv_norm * xi_up[a] * xi_down[b]
-            f2.entries[a][b] = f1.entries[a][b]
-        f1.entries[a][nn] = 1j * xi_up[a]
-        f1.entries[nn][a] = 1j * xi_down[a]
-        f2.entries[a][nn] = -1j * (lam + 2 * mu) * inv_mu * xi_up[a]
-        f2.entries[nn][a] = -1j * mu * inv_l2m * xi_down[a]
-    f1.entries[nn][nn] = -norm
-    f2.entries[nn][nn] = -norm
-
     return SymbolContext(
-        chart=chart, metric=metric, lame=lame, g=g, ginv=ginv, gamma=gamma,
-        xi_down=xi_down, xi_up=xi_up, norm_sq=norm_sq, norm=norm,
-        inv_norm=inv_norm, s2=s2,
-        lead=leading_coefficient(lame, chart),
-        lead_inv=leading_coefficient_inverse(lame, chart),
-        b1=b1, b0=b0, c2=c2, c1=c1, c0=c0, f1=f1, f2=f2)
+        **vars(fac), geo=geo, lead=leading_coefficient(lame, chart),
+        b1=b1, b0=normal_multiplier_matrix(geo, lame), c2=c2, c1=c1,
+        c0=zeroth_order_matrix(geo, lame))
 
 
 def q1(ctx: SymbolContext) -> JetMatrix:
@@ -298,12 +251,6 @@ def _multi_indices(nvars: int, total: int):
         for idx in combo:
             J[idx] += 1
         yield tuple(J)
-
-
-def _factorial_multi(J: tuple) -> int:
-    import math
-
-    return math.prod(math.factorial(e) for e in J)
 
 
 def build_E(m: int, q: "SymbolLevels | dict", ctx: SymbolContext,
@@ -364,7 +311,7 @@ def build_E(m: int, q: "SymbolLevels | dict", ctx: SymbolContext,
                     continue
                 phase = (-1j) ** order
                 for J in _multi_indices(nn, order):
-                    coeff = phase / _factorial_multi(J)
+                    coeff = phase / MultiIndex(J).factorial()
                     out = out - coeff * (dxi(j, J) @ dx(k, J))
         return out
     except AccuracyExhausted as exc:
@@ -397,7 +344,7 @@ def p1_matrix(ctx: SymbolContext) -> JetMatrix:
     n = chart.dimension
     nn = n - 1
     lam, mu = ctx.lame.lam, ctx.lame.mu
-    inv_l3m = reciprocal(lam + 3 * mu)
+    inv_l3m = ctx.lame.inv_l3m
     out = JetMatrix.zeros(chart, n, n)
     for a in range(nn):
         for b in range(nn):
@@ -414,19 +361,10 @@ def p1_matrix(ctx: SymbolContext) -> JetMatrix:
 
 def _gamma_correction(ctx: SymbolContext) -> JetMatrix:
     """Connection-trace correction entering the degree-zero boundary level."""
-    chart = ctx.chart
-    n = chart.dimension
-    nn = n - 1
-    out = JetMatrix.zeros(chart, n, n)
-    for b in range(nn):
-        acc = Jet.zero(chart)
-        for c in range(nn):
-            acc = acc + ctx.gamma[c, c, b]
-        out.entries[nn][b] = ctx.lame.lam * acc
-    acc = Jet.zero(chart)
-    for c in range(nn):
-        acc = acc + ctx.gamma[c, c, nn]
-    out.entries[nn][nn] = ctx.lame.lam * acc
+    n = ctx.chart.dimension
+    out = JetMatrix.zeros(ctx.chart, n, n)
+    for b in range(n):
+        out.entries[n - 1][b] = ctx.lame.lam * ctx.geo.trace[b]
     return out
 
 

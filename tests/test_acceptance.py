@@ -176,8 +176,8 @@ def test_criterion_06_gamma_identities_and_positivity(scene_set):
         for a in range(nn):
             trace = trace + geo.gamma[a, nn, a]
             for b in range(nn):
-                lhs = lhs + ctx.ginv[a, b] * ctx.g[a, b].dn()
-                rhs = rhs + ctx.g[a, b] * ctx.ginv[a, b].dn()
+                lhs = lhs + geo.ginv[a, b] * geo.g[a, b].dn()
+                rhs = rhs + geo.g[a, b] * geo.ginv[a, b].dn()
         worst = max(worst,
                     (first + 0.5 * dn_norm_sq).max_abs(),
                     (second - 0.5 * dn_norm_sq).max_abs(),

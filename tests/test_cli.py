@@ -221,3 +221,49 @@ def test_recovered_loader_rejects_bad_accuracy(tmp_path, value):
     raw["accuracy"]["g_inv"] = value
     with pytest.raises(SceneError, match="accuracy 'g_inv' must be an integer"):
         recovered_from_json(raw)
+
+
+@pytest.mark.parametrize("key, value", [("levels", []), ("lame", 5)])
+def test_recover_rejects_non_object_blocks(tmp_path, capsys, key, value):
+    cfg = write_scene(tmp_path / "scene.json", order=1)
+    sym = tmp_path / "symbols.json"
+    main(["forward", "--config", str(cfg), "--out", str(sym)])
+    doc = json.loads(sym.read_text())
+    doc[key] = value
+    sym.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["recover", "--symbols", str(sym), "--order", "1",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be an object" in err
+    assert "Traceback" not in err
+
+
+def _g_inv_key(key):
+    return lambda doc: doc["g_inv"].update({key: {}})
+
+
+@pytest.mark.parametrize("mutate, needle", [
+    pytest.param(_g_inv_key("11"), "malformed key '11'", id="no-comma"),
+    pytest.param(_g_inv_key("1,3"), "key '1,3' out of range", id="range"),
+    pytest.param(_g_inv_key("0,0"), "key '0,0' out of range", id="zero"),
+    pytest.param(lambda doc: doc.update(g_inv=[]),
+                 "g_inv: expected an object", id="block-list"),
+    pytest.param(lambda doc: doc.update(normal_derivatives={"1": "x"}),
+                 "order 1: expected an object", id="order-string"),
+    pytest.param(lambda doc: doc.update(normal_derivatives=[]),
+                 "normal_derivatives must be an object", id="orders-list"),
+    pytest.param(lambda doc: doc.pop("chart"), "missing key 'chart'",
+                 id="no-chart"),
+    pytest.param(lambda doc: doc["g_inv"].update({"1,1": {"0 0 0": -1.0}}),
+                 "positive definite", id="not-positive"),
+])
+def test_recovered_loader_rejects_malformed_blocks(tmp_path, mutate, needle):
+    cfg = write_scene(tmp_path / "scene.json", metric=curved_metric(), order=1)
+    sym, rec = tmp_path / "s.json", tmp_path / "r.json"
+    main(["forward", "--config", str(cfg), "--out", str(sym)])
+    main(["recover", "--symbols", str(sym), "--order", "1", "--out", str(rec)])
+    raw = json.loads(rec.read_text())
+    mutate(raw)
+    with pytest.raises(SceneError, match=needle):
+        recovered_from_json(raw)

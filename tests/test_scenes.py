@@ -8,6 +8,7 @@ from elastic_dtn.jets import IllConditionedWarning
 from elastic_dtn.scenes import (
     SceneError,
     canonical_json,
+    context_from_json,
     jet_from_map,
     jet_to_map,
     load_scene,
@@ -65,6 +66,11 @@ def test_scene_validation_errors():
         ({"order": 9}, "truncation order"),
         ({"tolerances": {"bogus": 1.0}}, "unknown tolerance"),
         ({"mu": {"0 0 0": -2.0}}, "mu > 0"),
+        ({"order": float("inf")}, "infinity"),
+        ({"seed": "x"}, "invalid literal"),
+        ({"tolerances": {"roundtrip": float("nan")}}, "must be finite"),
+        ({"tolerances": {"roundtrip": "x"}}, "could not convert"),
+        ({"lambda": {"0 0 0": 10 ** 400}}, "finite number"),
     ]:
         doc = dict(base)
         doc.update(mutation)
@@ -107,3 +113,20 @@ def test_mat_inverse_singular_rejected():
 def test_canonical_json_stable():
     doc = {"b": 1.5, "a": [1, 2], "nested": {"y": 0.1, "x": 2}}
     assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
+                                   "[1.0, NaN]", "[Infinity, 0.0]"])
+def test_non_finite_coefficients_rejected(value):
+    ctx = JetContext(2, 4, (1.0,))
+    data = json.loads('{"0 0 0": %s}' % value)
+    with pytest.raises(SceneError, match="finite"):
+        jet_from_map(ctx, data)
+
+
+@pytest.mark.parametrize("covector", ["[Infinity]", "[NaN]", "[-Infinity]"])
+def test_non_finite_base_covector_rejected(covector):
+    chart = json.loads('{"dimension": 2, "truncation_order": 4, '
+                       '"base_covector": %s}' % covector)
+    with pytest.raises(SceneError, match="finite"):
+        context_from_json(chart)

@@ -195,7 +195,7 @@ def test_p1_self_adjoint_with_metric_weight():
     assert p1.allclose(p1.conjugate_transpose(), tol=1e-10)
     for seed in range(2):
         ctx, scene = random_context(seed, dimension=3)
-        weighted = ctx.g @ p1_matrix(ctx)
+        weighted = ctx.geo.g @ p1_matrix(ctx)
         assert weighted.allclose(weighted.conjugate_transpose(), tol=1e-10)
 
 
