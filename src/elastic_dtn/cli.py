@@ -87,9 +87,18 @@ def _load_scene_from_args(args) -> SceneConfig:
     if args.config is not None:
         return load_scene(args.config)
     if args.seed is not None:
-        return random_scene(args.seed, dimension=args.dimension,
-                            truncation_order=args.truncation)
+        try:
+            return random_scene(args.seed, dimension=args.dimension,
+                                truncation_order=args.truncation)
+        except ValueError as exc:
+            raise SceneError(f"invalid chart flags: {exc}") from exc
     raise SceneError("either --config or --seed is required")
+
+
+def _order(value: int) -> int:
+    if value < 0:
+        raise SceneError(f"--order must be >= 0, got {value}")
+    return value
 
 
 def _emit(document: dict, out_path: str | None) -> None:
@@ -101,7 +110,7 @@ def _emit(document: dict, out_path: str | None) -> None:
 
 def cmd_forward(args) -> int:
     scene = load_scene(args.config)
-    order = scene.order if args.order is None else args.order
+    order = scene.order if args.order is None else _order(args.order)
     ctx = build_context(scene.metric, scene.lame, scene.context)
     symbols = dtn_symbols(ctx, order)
     document = symbols_to_json(symbols, scene.lame, scene.context)
@@ -125,14 +134,15 @@ def cmd_recover(args) -> int:
         raise SceneError(f"cannot read symbols file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SceneError(f"symbols file is not valid JSON: {exc}") from exc
+    order = _order(args.order)
     observed = observed_from_json(raw)
     kwargs = {}
     if args.tol is not None:
         kwargs["quadraticity_tol"] = args.tol
-    data = recover_full(observed, args.order, cross_check=args.cross_check,
+    data = recover_full(observed, order, cross_check=args.cross_check,
                         **kwargs)
     atomic_write_json(args.out, recovered_to_json(data))
-    print(f"recovered orders 0..{args.order} to {args.out}")
+    print(f"recovered orders 0..{order} to {args.out}")
     return EXIT_OK
 
 
@@ -147,8 +157,8 @@ def _true_boundary_data(scene: SceneConfig, order: int):
 
 
 def cmd_roundtrip(args) -> int:
+    order = _order(args.order)
     scene = _load_scene_from_args(args)
-    order = args.order
     tolerance = args.tol if args.tol is not None else scene.tolerance("roundtrip")
     ctx = build_context(scene.metric, scene.lame, scene.context)
     symbols = dtn_symbols(ctx, order)
@@ -213,7 +223,7 @@ def _verify_checks(scene: SceneConfig, tol_override=None) -> list[dict]:
                                for j in range(n)))
     record("operator_identity", worst, scene.tolerance("identity"))
 
-    wave = plane_wave_consistency(ctx, scene.metric, scene.lame)
+    wave = plane_wave_consistency(ctx)
     record("plane_wave_first_order", wave["b_residual"],
            scene.tolerance("identity"))
     record("plane_wave_tangential", wave["c_residual"],

@@ -30,6 +30,9 @@ import numpy as np
 APPROX_TOL = 1e-12
 ZERO_COEFF_TOL = 1e-14
 CONDITION_LIMIT = 1e8
+# Largest multiplication table a chart may ask for, in (left, right) pairs.
+# The largest chart in use, (n, K) = (4, 7), needs 116,280.
+MAX_PRODUCT_PAIRS = 200_000
 
 
 class JetError(Exception):
@@ -137,6 +140,26 @@ def _product_plan(context: "JetContext", accuracy: int):
     return plan
 
 
+def check_chart_shape(dimension: int, truncation_order: int) -> None:
+    """Reject a chart shape before anything of its size is built.
+
+    The product table of a chart holds C(K + 2v, 2v) pairs for v = 2n - 1
+    variables; the count stops as soon as it passes the budget, so hostile
+    sizes cost nothing.
+    """
+    if dimension < 2:
+        raise ValueError(f"dimension must be >= 2, got {dimension}")
+    if truncation_order < 2:
+        raise ValueError(f"truncation order must be >= 2, got {truncation_order}")
+    pairs = 1
+    for i in range(1, 2 * (2 * dimension - 1) + 1):
+        pairs = pairs * (truncation_order + i) // i  # C(K + i, i), exactly
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise ValueError(
+                f"chart (n={dimension}, K={truncation_order}) needs more than "
+                f"{MAX_PRODUCT_PAIRS} product pairs")
+
+
 class JetContext:
     """Shared frame for a family of jets.
 
@@ -148,10 +171,7 @@ class JetContext:
     """
 
     def __init__(self, dimension: int, truncation_order: int, base_covector):
-        if dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {dimension}")
-        if truncation_order < 2:
-            raise ValueError(f"truncation order must be >= 2, got {truncation_order}")
+        check_chart_shape(dimension, truncation_order)
         xi0 = tuple(float(v) for v in base_covector)
         if len(xi0) != dimension - 1:
             raise ValueError(
@@ -408,15 +428,17 @@ class Jet:
         acc = min(self.accuracy, other.accuracy)
         n, left, right, starts, w1, w2 = _product_plan(ctx, acc)
         a, b = self.coeffs, other.coeffs
-        out = np.zeros_like(a)
-        if not a[1:n].any():
+        # products are mostly small, so the fixed cost of each numpy call
+        # counts: the array methods skip the np.take wrapper
+        out = np.zeros(len(a), dtype=np.complex128)
+        if not np.count_nonzero(a[1:n]):
             out[:n] = a[0] * b[:n]
-        elif not b[1:n].any():
+        elif not np.count_nonzero(b[1:n]):
             out[:n] = a[:n] * b[0]
         else:
             # indices are in range; "wrap" skips the buffered bounds check
-            np.take(a, left, out=w1, mode="wrap")
-            np.take(b, right, out=w2, mode="wrap")
+            a.take(left, out=w1, mode="wrap")
+            b.take(right, out=w2, mode="wrap")
             np.multiply(w1, w2, out=w1)
             out[:n] = np.add.reduceat(w1, starts)
         return Jet(ctx, out, acc)

@@ -4,7 +4,8 @@ Order zero inverts the (n,n) entry of the principal level for the
 cotangent norm, whose exact Hessian in the offset variables is the inverse
 tangential metric.  Each higher order m then (i) extends the data
 recovered so far to a reference chart with zero normal derivatives of
-order m and above, (ii) reruns the forward engine on the reference,
+order m and above, (ii) reruns the forward engine on the reference for
+the level of degree 1-m alone, trusted only to the degrees peeling reads,
 (iii) differences the observed and reference levels of degree 1-m, so
 every remainder term depending only on lower-order data cancels exactly,
 and (iv) reads the order-m normal derivative off the quadratic form left
@@ -37,8 +38,9 @@ from .symbols import (
     Factorization,
     SymbolLevels,
     build_context,
-    dtn_symbols,
     factorization,
+    p_level,
+    q_levels,
 )
 
 QUADRATICITY_TOL = 1e-6
@@ -211,51 +213,102 @@ def lin_inverse(X: JetMatrix, ctx: Factorization) -> JetMatrix:
     return X * (2 * ctx.norm) + (ctx.f2 @ X + X @ ctx.f1) * ctx.s2
 
 
-def _exactified(jet: Jet) -> Jet:
+def _exactified(jet: Jet, accuracy: int) -> Jet:
     # zero extension beyond the trusted degree turns recovered data into
     # the exact polynomial that defines the reference chart
-    return jet.trusted_only().with_accuracy(jet.context.truncation_order)
+    return jet.trusted_only().with_accuracy(accuracy)
 
 
 def _reference_metric(chart: JetContext, partial: RecoveredBoundaryData,
-                      order: int) -> MetricJet:
-    """Chart matching recovered data below ``order``, zero at and above it."""
+                      order: int, accuracy: int) -> MetricJet:
+    """Chart matching recovered data below ``order``, zero at and above it.
+
+    Its jets are trusted to degree ``accuracy``.
+    """
     import math
 
     nn = chart.dimension - 1
     xn = Jet.x_var(chart, chart.normal_index)
-    entries = [[_exactified(partial.g_inv[a][b]) for b in range(nn)]
+    entries = [[_exactified(partial.g_inv[a][b], accuracy) for b in range(nn)]
                for a in range(nn)]
     for j in range(1, order):
         deriv = partial.normal_derivs[j - 1]
         weight = xn ** j * (1.0 / math.factorial(j))
         for a in range(nn):
             for b in range(nn):
-                entries[a][b] = entries[a][b] + _exactified(deriv[a][b]) * weight
-    return _metric_from_inverse(chart, entries)
+                entries[a][b] = (entries[a][b]
+                                 + _exactified(deriv[a][b], accuracy) * weight)
+    return _metric_from_inverse(chart, entries)[1]
 
 
-def _metric_from_inverse(chart: JetContext, ginv_entries) -> MetricJet:
+def _metric_from_inverse(chart: JetContext, ginv_entries):
+    """The inverse of a tangential block, raw and as a real metric."""
     nn = chart.dimension - 1
     g = mat_inverse(JetMatrix(chart, [list(row) for row in ginv_entries]))
-    return MetricJet(chart, [[g[a, b].real_part() for b in range(nn)]
-                             for a in range(nn)])
+    return g, MetricJet(chart, [[g[a, b].real_part() for b in range(nn)]
+                                for a in range(nn)])
 
 
-def boundary_factorization(obs: ObservedSymbols, g_inv) -> Factorization:
+@dataclass(frozen=True)
+class BoundaryFactorization(Factorization):
+    """Boundary factorization plus the order-0 tangential metric g_ab.
+
+    ``g`` is the raw inverse of the recovered order-0 block; the
+    ``MetricJet`` built from it symmetrizes its off-diagonal entries.
+    """
+
+    g: JetMatrix
+
+
+def boundary_factorization(obs: ObservedSymbols,
+                           g_inv) -> BoundaryFactorization:
     """Factorization data on the boundary, from the order-0 inverse metric.
 
     Every peeling order reads the same data, so it is built once.
     """
-    metric = _metric_from_inverse(obs.chart, g_inv)
+    g, metric = _metric_from_inverse(obs.chart, g_inv)
     lame_b = LameJet(obs.lame.lam.at_boundary(), obs.lame.mu.at_boundary())
-    return factorization(mat_inverse(assemble_full_metric(metric)), lame_b,
-                         obs.chart)
+    fac = factorization(mat_inverse(assemble_full_metric(metric)), lame_b,
+                        obs.chart)
+    return BoundaryFactorization(**vars(fac), g=g)
+
+
+def _peeling_trust(partial: RecoveredBoundaryData, m: int) -> int:
+    """Tangential degree up to which order-m peeling is law-exact.
+
+    Data of order j is trusted to its stored accuracy, and the recursion
+    applies up to m - j tangential derivatives to it on the way to the
+    level of degree 1 - m.
+    """
+    nn = partial.context.dimension - 1
+    spans = [min(block[a][b].accuracy for a in range(nn) for b in range(nn))
+             for block in [partial.g_inv, *partial.normal_derivs[: m - 1]]]
+    return min(spans[j] - (m - j) for j in range(len(spans)))
+
+
+def _reference_level(obs: ObservedSymbols, partial: RecoveredBoundaryData,
+                     m: int, trust: int) -> JetMatrix:
+    """Level of degree 1 - m of the reference forward run, on the boundary.
+
+    That level, from a chart trusted to degree A, is trusted to A - m, and
+    peeling reads it only to degree trust + 2; the reference chart is
+    trusted to no more.
+    """
+    chart = obs.chart
+    accuracy = min(chart.truncation_order, trust + m + 2)
+    reference = _reference_metric(chart, partial, m, accuracy)
+    ctx_ref = build_context(reference, obs.lame, chart)
+    q_ref = q_levels(ctx_ref, m - 1)
+    if 1 - m not in q_ref.levels:
+        raise AccuracyExhausted(
+            f"reference forward run reached depth {q_ref.depth}, "
+            f"order {m} needs {m - 1}")
+    return p_level(ctx_ref, q_ref, 1 - m).at_boundary()
 
 
 def recover_normal_derivative(m: int, obs: ObservedSymbols,
                               partial: RecoveredBoundaryData,
-                              boundary: Factorization,
+                              boundary: BoundaryFactorization,
                               quadraticity_tol: float = QUADRATICITY_TOL,
                               imaginary_tol: float = IMAGINARY_TOL):
     """Order-m normal derivative of the inverse metric by peeling.
@@ -272,17 +325,15 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
     n = chart.dimension
     nn = n - 1
 
-    reference = _reference_metric(chart, partial, m)
-    ctx_ref = build_context(reference, obs.lame, chart)
-    sym_ref = dtn_symbols(ctx_ref, m - 1)
-    if sym_ref.depth < m - 1:
+    # Peeling is law-exact only below a tangential-degree threshold; the
+    # form is capped there before extraction.
+    trust = _peeling_trust(partial, m)
+    if trust < 0:
         raise AccuracyExhausted(
-            f"reference forward run reached depth {sym_ref.depth}, "
-            f"order {m} needs {m - 1}")
+            f"peeling trust exhausted at order {m} (tangential span {trust})")
 
     level_obs = obs.p.level(1 - m).at_boundary()
-    level_ref = sym_ref.level(1 - m).at_boundary()
-    delta = level_obs - level_ref
+    delta = level_obs - _reference_level(obs, partial, m, trust)
 
     lam, mu = boundary.lame.lam, boundary.lame.mu
     if m == 1:
@@ -303,32 +354,15 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
     if m >= 2:
         scale = scale * (lam + 2 * mu)
     form = -residual_entry * scale * boundary.norm_sq
-
-    # Peeling is law-exact only below a tangential-degree threshold: data
-    # of order j is trusted to its stored accuracy, and the recursion
-    # applies up to m - j tangential derivatives to it on the way to the
-    # level of degree 1 - m.  Cap the form there before extraction.
-    spans = [min(partial.g_inv[a][b].accuracy for a in range(nn)
-                 for b in range(nn))]
-    for deriv in partial.normal_derivs[: m - 1]:
-        spans.append(min(deriv[a][b].accuracy for a in range(nn)
-                         for b in range(nn)))
-    trust = min(spans[j] - (m - j) for j in range(len(spans)))
-    if trust < 0:
-        raise AccuracyExhausted(
-            f"peeling trust exhausted at order {m} (tangential span {trust})")
     form = form.x_degree_cap(trust).with_accuracy(min(form.accuracy, trust + 2))
 
     block, diag = extract_quadratic(form, tol=quadraticity_tol)
     diag["tangential_trust"] = trust
 
-    g_low = mat_inverse(JetMatrix(chart, [[partial.g_inv[a][b]
-                                           for b in range(nn)]
-                                          for a in range(nn)]))
     trace = Jet.zero(chart)
     for a in range(nn):
         for b in range(nn):
-            trace = trace + block[a][b] * g_low[a, b]
+            trace = trace + block[a][b] * boundary.g[a, b]
     denom = nn * (2 * lam + 5 * mu) - (lam + 2 * mu)
     denom_const = denom.constant_term.real
     if denom_const <= 0:

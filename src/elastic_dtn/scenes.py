@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LameJet, MetricJet
-from .jets import Jet, JetContext
+from .jets import Jet, JetContext, check_chart_shape
 
 SCHEMA_VERSION = 1
 
@@ -283,6 +283,7 @@ def random_scene(seed: int, dimension: int = 2, truncation_order: int = 6,
                  degree: int = 3, order: int = 3,
                  amplitude: float = 0.15) -> SceneConfig:
     """Draw an admissible scene: perturbed flat metric, safe coefficients."""
+    check_chart_shape(dimension, truncation_order)
     rng = np.random.default_rng(seed)
     order = min(order, truncation_order - 3)
     n = dimension

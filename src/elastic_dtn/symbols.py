@@ -381,6 +381,20 @@ def q_levels(ctx: SymbolContext, depth: int) -> SymbolLevels:
     return SymbolLevels("q", levels)
 
 
+def p_level(ctx: SymbolContext, q: SymbolLevels, degree: int) -> JetMatrix:
+    """Boundary symbol level of one degree from the factor levels.
+
+    p_1 is closed-form, p_0 = lead q_0 - (connection-trace correction),
+    and p_{-k} = lead q_{-k}; degree d <= 0 needs q_d.
+    """
+    if degree == 1:
+        return p1_matrix(ctx)
+    out = ctx.lead @ q.level(degree)
+    if degree == 0:
+        out = out - _gamma_correction(ctx)
+    return out
+
+
 def dtn_symbols(ctx: SymbolContext, M: int) -> SymbolLevels:
     """Boundary symbol levels p_1 .. p_{-M}.
 
@@ -396,14 +410,8 @@ def dtn_symbols(ctx: SymbolContext, M: int) -> SymbolLevels:
             f"truncation order {K} supports at most depth {K - 3}; "
             f"depth {M} was requested (need K >= M + 3)")
     q = q_levels(ctx, depth=M)
-    p = {1: p1_matrix(ctx)}
-    if 0 in q.levels:
-        p[0] = ctx.lead @ q.levels[0] - _gamma_correction(ctx)
-    for m in range(1, M + 1):
-        if -m not in q.levels:
-            break
-        p[-m] = ctx.lead @ q.levels[-m]
-    return SymbolLevels("p", p)
+    return SymbolLevels("p", {degree: p_level(ctx, q, degree)
+                              for degree in q.levels})
 
 
 # -- plane-wave consistency -------------------------------------------------
@@ -427,8 +435,7 @@ def _plane_wave(chart: JetContext) -> Jet:
     return Jet.from_coefficients(chart, coeffs)
 
 
-def plane_wave_consistency(ctx: SymbolContext, metric: MetricJet,
-                           lame: LameJet) -> dict:
+def plane_wave_consistency(ctx: SymbolContext) -> dict:
     """Compare the symbol matrices against the differential operators.
 
     Applies the first-order and tangential operator blocks to plane waves
@@ -440,7 +447,7 @@ def plane_wave_consistency(ctx: SymbolContext, metric: MetricJet,
 
     chart = ctx.chart
     n = chart.dimension
-    geo = prepare(metric)
+    geo, lame = ctx.geo, ctx.lame
     wave = _plane_wave(chart)
     b_total = ctx.b1 + ctx.b0
     c_total = ctx.c2 + ctx.c1 + ctx.c0

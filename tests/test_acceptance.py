@@ -92,7 +92,7 @@ def test_criterion_01_operator_identity(scene_set):
 def test_criterion_02_plane_wave_symbols(scene_set):
     worst = 0.0
     for scene, ctx in scene_set:
-        report = plane_wave_consistency(ctx, scene.metric, scene.lame)
+        report = plane_wave_consistency(ctx)
         worst = max(worst, report["max_residual"])
     assert _report(2, "plane-wave symbol consistency", worst, 1e-9)
 

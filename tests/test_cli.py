@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from elastic_dtn import jets
 from elastic_dtn.cli import main
 from elastic_dtn.scenes import SceneError, canonical_json
 from elastic_dtn.serialize import observed_from_json, recovered_from_json
@@ -166,6 +167,40 @@ def test_verify_passes_and_fails(tmp_path):
 
 def test_verify_requires_scene_source(capsys):
     assert main(["verify"]) == 2
+
+
+@pytest.mark.parametrize("command", ["forward", "recover", "roundtrip"])
+def test_negative_order_is_an_input_error(tmp_path, capsys, command):
+    cfg = write_scene(tmp_path / "scene.json")
+    sym = tmp_path / "symbols.json"
+    assert main(["forward", "--config", str(cfg), "--out", str(sym)]) == 0
+    source = {"forward": ["--config", str(cfg)],
+              "recover": ["--symbols", str(sym)],
+              "roundtrip": ["--config", str(cfg)]}[command]
+    assert main([command, *source, "--order", "-1",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert "--order must be >= 0" in capsys.readouterr().err
+
+
+def test_oversized_chart_rejected_before_any_table(tmp_path, capsys):
+    cfg = write_scene(tmp_path / "scene.json")
+    sym = tmp_path / "symbols.json"
+    assert main(["forward", "--config", str(cfg), "--out", str(sym)]) == 0
+    big_scene = write_scene(tmp_path / "big.json", K=99)
+    doc = json.loads(sym.read_text())
+    doc["chart"]["truncation_order"] = 99
+    big_symbols = tmp_path / "big_symbols.json"
+    big_symbols.write_text(json.dumps(doc))
+    tables = (set(jets._BASIS_CACHE), set(jets._MUL_CACHE))
+    out = str(tmp_path / "out.json")
+    for argv in (["forward", "--config", str(big_scene)],
+                 ["recover", "--symbols", str(big_symbols)],
+                 ["roundtrip", "--seed", "1", "--truncation", "99"],
+                 ["verify", "--seed", "1", "--dimension", "4",
+                  "--truncation", "8"]):
+        assert main(argv + ["--out", out]) == 2, argv
+        assert "product pairs" in capsys.readouterr().err, argv
+    assert (set(jets._BASIS_CACHE), set(jets._MUL_CACHE)) == tables
 
 
 def test_symbols_schema_roundtrip(tmp_path):

@@ -53,6 +53,17 @@ def test_context_validation():
         JetContext(3, 5, (1.0,))  # wrong covector length
 
 
+def test_chart_size_budget():
+    # (4, 7) is the largest chart in use, with C(21, 14) = 116,280 pairs;
+    # (4, 8) would need 319,770
+    JetContext(4, 7, (1.0, 1.0, 1.0))
+    for n, K in ((4, 8), (2, 99), (2, 10**100)):
+        with pytest.raises(ValueError, match="product pairs"):
+            JetContext(n, K, (1.0,) * (n - 1))
+    with pytest.raises(ValueError, match="product pairs"):
+        JetContext(10**9, 2, (1.0,))  # rejected before the covector is read
+
+
 def test_context_mismatch_checked():
     a = Jet.constant(make_context(), 1.0)
     b = Jet.constant(make_context(K=6), 1.0)

@@ -7,6 +7,9 @@ from elastic_dtn.recovery import (
     ConsistencyError,
     ObservedSymbols,
     RecoveredBoundaryData,
+    _peeling_trust,
+    _reference_level,
+    _reference_metric,
     extract_quadratic,
     extract_quadratic_sampled,
     lin_inverse,
@@ -19,7 +22,13 @@ from elastic_dtn.serialize import (
     recovered_to_json,
     symbols_to_json,
 )
-from elastic_dtn.symbols import build_context, dtn_symbols, solve_q
+from elastic_dtn.symbols import (
+    build_context,
+    dtn_symbols,
+    p_level,
+    q_levels,
+    solve_q,
+)
 from elastic_dtn.jets import reciprocal
 
 from roundtrip_utils import forward_observed, rel_err, true_inverse_derivatives
@@ -301,3 +310,30 @@ def test_noise_above_level_accuracy_leaves_recovery_unchanged(n):
     assert noised
     noisy = recovered_to_json(recover_full(observed_from_json(doc), 3))
     assert canonical_json(noisy) == canonical_json(clean)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trimmed_reference_level_matches_full_degree_run(n):
+    """The reference run stops at the degree peeling reads, trust + 2.
+
+    Up to that degree its level of degree 1 - m is bit-identical to the
+    level of a reference run trusted to the full truncation order K.
+    """
+    K, M = 6, 3
+    scene = random_scene(110 + n, dimension=n, truncation_order=K, order=M)
+    observed, _ = forward_observed(scene, M)
+    data = recover_full(observed, M)
+    chart = scene.context
+    for m in range(1, M + 1):
+        trust = _peeling_trust(data, m)
+        trimmed = _reference_level(observed, data, m, trust)
+        ctx_full = build_context(_reference_metric(chart, data, m, K),
+                                 scene.lame, chart)
+        full = p_level(ctx_full, q_levels(ctx_full, m - 1), 1 - m).at_boundary()
+        assert trimmed.accuracy == trust + 2, (m, trust)
+        assert full.accuracy >= trust + 2, (m, trust)
+        kept = chart.degrees <= trust + 2
+        for i in range(n):
+            for j in range(n):
+                assert np.array_equal(trimmed[i, j].coeffs[kept],
+                                      full[i, j].coeffs[kept]), (m, i, j)

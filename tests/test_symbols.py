@@ -206,13 +206,13 @@ def test_dtn_symbols_requires_margin():
 
 
 def test_plane_wave_consistency():
-    ctx, metric, lame = euclidean_context(K=5)
-    report = plane_wave_consistency(ctx, metric, lame)
+    ctx, _, _ = euclidean_context(K=5)
+    report = plane_wave_consistency(ctx)
     assert report["max_residual"] < 1e-13
     for n in (2, 3):
         for seed in range(3):
             ctx, scene = random_context(seed, dimension=n, K=5)
-            report = plane_wave_consistency(ctx, scene.metric, scene.lame)
+            report = plane_wave_consistency(ctx)
             assert report["max_residual"] < 1e-9, (n, seed, report)
 
 
