@@ -27,8 +27,6 @@ from .jets import (
     MultiIndex,
     NotInvertible,
     mat_inverse,
-    mul,
-    partial,
     reciprocal,
     sqrt,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "lin_inverse",
     "load_scene",
     "mat_inverse",
-    "mul",
-    "partial",
     "plane_wave_consistency",
     "q1",
     "random_scene",

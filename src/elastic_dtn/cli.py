@@ -1,7 +1,9 @@
 """Batch front end: forward, recover, roundtrip and verify pipelines.
 
-Exit codes: 0 success, 1 invariant/tolerance failure, 2 input error,
-3 accuracy exhaustion, 4 consistency-gate failure.  Output files are
+Exit codes: 0 success, 1 invariant/tolerance failure, 2 input error
+(including degenerate input such as a near-zero Lame coefficient, whose
+jets cannot be inverted), 3 accuracy exhaustion, 4 consistency-gate
+failure.  Output files are
 written atomically and are byte-identical across repeated invocations
 with the same inputs; wall-clock timing goes to stderr only.
 """
@@ -15,7 +17,7 @@ import time
 import numpy as np
 
 from .geometry import leading_coefficient_inverse
-from .jets import AccuracyExhausted, Jet, JetMatrix, mat_inverse
+from .jets import AccuracyExhausted, Jet, JetMatrix, NotInvertible, mat_inverse
 from .recovery import ConsistencyError, ObservedSymbols, lin_inverse, recover_full
 from .scenes import (
     SceneConfig,
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = handlers[args.command](args)
-    except SceneError as exc:
+    except (SceneError, NotInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AccuracyExhausted as exc:

@@ -34,7 +34,7 @@ _EIGEN_TOL = 1e-10
 
 
 def _require_real_spatial(jet: Jet, what: str) -> Jet:
-    if jet.max_imag(trusted=False) > _REALITY_TOL:
+    if jet.max_imag() > _REALITY_TOL:
         raise ValueError(f"{what} must be real")
     if jet.depends_on_xi():
         raise ValueError(f"{what} must not depend on the cotangent variables")

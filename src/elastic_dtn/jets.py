@@ -9,14 +9,17 @@ square roots have a positive constant term.
 Every jet carries an integer ``accuracy``: the largest total degree whose
 coefficients are trusted.  Ring operations and Taylor division/square root
 preserve the minimum accuracy of their operands; differentiation lowers it
-by one.  Products compute only the coefficients up to their accuracy and
-hold exact zeros above it.  Sums and ``with_accuracy`` can still carry
-coefficients above the accuracy, so comparisons mask them.
+by one.
 
-Coefficients are held internally in a dense vector indexed by the graded
+Coefficients are held in a dense vector indexed by the graded
 lexicographic order on exponent multi-indices (the truncations used here
-are small); the public coefficient map, serialization and the equality
-predicate operate on the sparse multi-index view.
+are small).  A jet of accuracy A stores exactly the coefficients of degree
+<= A, which are the first ``context.sizes[A]`` basis entries, so a
+coefficient above the trusted degree cannot reach any result: products
+compute only that prefix, sums and comparisons work on the common prefix,
+and ``with_accuracy`` drops coefficients or extends with zeros.  The
+public coefficient map and serialization operate on the sparse
+multi-index view.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def _product_plan(context: "JetContext", accuracy: int):
                 np.empty(len(left), dtype=np.complex128))
         # targets of degree <= accuracy are a prefix of the graded basis,
         # and their pairs are a prefix of the target-sorted table
-        n = int(np.count_nonzero(context.degrees <= accuracy))
+        n = context.sizes[accuracy]
         m = starts[n] if n < len(starts) else len(left)
         plan = local.plans[(context._shape, accuracy)] = (
             n, left[:m], right[:m], starts[:n], buffers[0][:m], buffers[1][:m])
@@ -166,8 +169,10 @@ class JetContext:
     Holds the dimension n (so there are n x-variables and n-1 cotangent
     offsets), the truncation order K, the base covector xi0 != 0, and the
     lazily built lookup tables for multiplication, differentiation and
-    evaluation.  All jets combined in one expression must share a
-    compatible context; this is checked on every binary operation.
+    evaluation.  ``sizes[A]`` is the number of basis monomials of degree
+    <= A, the stored length of a jet of accuracy A.  All jets combined in
+    one expression must share a compatible context; this is checked on
+    every binary operation.
     """
 
     def __init__(self, dimension: int, truncation_order: int, base_covector):
@@ -187,14 +192,17 @@ class JetContext:
         basis = _BASIS_CACHE.get(shape)
         if basis is None:
             mons = tuple(_monomials(self.nvars, truncation_order))
+            degrees = np.array([sum(m) for m in mons], dtype=np.int64)
             basis = (
                 mons,
                 {m: i for i, m in enumerate(mons)},
-                np.array([sum(m) for m in mons], dtype=np.int64),
+                degrees,
                 np.array(mons, dtype=np.int64),
+                tuple(int(np.count_nonzero(degrees <= d))
+                      for d in range(truncation_order + 1)),
             )
             _BASIS_CACHE[shape] = basis
-        self.monomials, self._index, self.degrees, self._exps = basis
+        self.monomials, self._index, self.degrees, self._exps, self.sizes = basis
         self._shape = shape
 
     # -- variable layout: x_0..x_{n-1} then xi-offsets 0..n-2 (0-based) --
@@ -300,14 +308,27 @@ def _check_context(a: "Jet", b: "Jet") -> None:
 
 
 class Jet:
-    """One truncated Taylor expansion tied to a :class:`JetContext`."""
+    """One truncated Taylor expansion tied to a :class:`JetContext`.
+
+    ``coeffs`` holds exactly the coefficients of degree <= ``accuracy``; a
+    longer vector is cut to that prefix.
+    """
 
     __slots__ = ("context", "coeffs", "accuracy")
 
     def __init__(self, context: JetContext, coeffs: np.ndarray, accuracy: int):
+        accuracy = min(int(accuracy), context.truncation_order)
+        if accuracy < 0:
+            raise ValueError(f"jet accuracy must be >= 0, got {accuracy}")
+        size = context.sizes[accuracy]
+        if len(coeffs) != size:
+            if len(coeffs) < size:
+                raise ValueError(f"accuracy {accuracy} needs {size} "
+                                 f"coefficients, got {len(coeffs)}")
+            coeffs = coeffs[:size]
         self.context = context
         self.coeffs = coeffs
-        self.accuracy = min(int(accuracy), context.truncation_order)
+        self.accuracy = accuracy
 
     # -- constructors -------------------------------------------------
 
@@ -361,28 +382,23 @@ class Jet:
         return complex(self.coeffs[0])
 
     def coefficient(self, exponents) -> complex:
-        return complex(self.coeffs[self.context.monomial_position(exponents)])
+        """The stored coefficient; 0 above the accuracy."""
+        pos = self.context.monomial_position(exponents)
+        return complex(self.coeffs[pos]) if pos < len(self.coeffs) else 0j
 
     def coefficients(self, tol: float = 0.0) -> dict[MultiIndex, complex]:
         """Sparse view of the stored coefficients, in graded-lex order."""
         out = {}
-        for i, m in enumerate(self.context.monomials):
-            v = self.coeffs[i]
+        for m, v in zip(self.context.monomials, self.coeffs):
             if abs(v) > tol:
                 out[MultiIndex(m)] = complex(v)
         return out
 
-    def trusted(self) -> np.ndarray:
-        mask = self.context.degrees <= self.accuracy
-        return np.where(mask, self.coeffs, 0.0)
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self.coeffs)))
 
-    def max_abs(self, trusted: bool = True) -> float:
-        c = self.trusted() if trusted else self.coeffs
-        return float(np.max(np.abs(c))) if len(c) else 0.0
-
-    def max_imag(self, trusted: bool = True) -> float:
-        c = self.trusted() if trusted else self.coeffs
-        return float(np.max(np.abs(c.imag))) if len(c) else 0.0
+    def max_imag(self) -> float:
+        return float(np.max(np.abs(self.coeffs.imag)))
 
     # -- predicates -----------------------------------------------------
 
@@ -390,10 +406,8 @@ class Jet:
         if not isinstance(other, Jet):
             other = Jet.constant(self.context, other)
         _check_context(self, other)
-        acc = min(self.accuracy, other.accuracy)
-        mask = self.context.degrees <= acc
-        diff = np.abs(self.coeffs - other.coeffs)
-        return bool(np.all(diff[mask] <= tol))
+        n = min(len(self.coeffs), len(other.coeffs))
+        return bool(np.all(np.abs(self.coeffs[:n] - other.coeffs[:n]) <= tol))
 
     def is_zero(self, tol: float = APPROX_TOL) -> bool:
         return self.allclose(0.0, tol)
@@ -406,8 +420,11 @@ class Jet:
             out[0] += complex(other)
             return Jet(self.context, out, self.accuracy)
         _check_context(self, other)
-        return Jet(self.context, self.coeffs + other.coeffs,
-                   min(self.accuracy, other.accuracy))
+        a, b = self.coeffs, other.coeffs
+        if len(a) != len(b):
+            n = min(len(a), len(b))
+            a, b = a[:n], b[:n]
+        return Jet(self.context, a + b, min(self.accuracy, other.accuracy))
 
     __radd__ = __add__
 
@@ -430,17 +447,16 @@ class Jet:
         a, b = self.coeffs, other.coeffs
         # products are mostly small, so the fixed cost of each numpy call
         # counts: the array methods skip the np.take wrapper
-        out = np.zeros(len(a), dtype=np.complex128)
         if not np.count_nonzero(a[1:n]):
-            out[:n] = a[0] * b[:n]
+            out = a[0] * b[:n]
         elif not np.count_nonzero(b[1:n]):
-            out[:n] = a[:n] * b[0]
+            out = a[:n] * b[0]
         else:
             # indices are in range; "wrap" skips the buffered bounds check
             a.take(left, out=w1, mode="wrap")
             b.take(right, out=w2, mode="wrap")
             np.multiply(w1, w2, out=w1)
-            out[:n] = np.add.reduceat(w1, starts)
+            out = np.add.reduceat(w1, starts)
         return Jet(ctx, out, acc)
 
     __rmul__ = __mul__
@@ -453,19 +469,6 @@ class Jet:
     def __rtruediv__(self, other):
         return reciprocal(self) * complex(other)
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("jet powers must be non-negative integers")
-        result = Jet.constant(self.context, 1.0)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def conjugate(self) -> "Jet":
         return Jet(self.context, np.conj(self.coeffs), self.accuracy)
 
@@ -473,17 +476,30 @@ class Jet:
         return Jet(self.context, self.coeffs.real.astype(np.complex128), self.accuracy)
 
     def with_accuracy(self, accuracy: int) -> "Jet":
-        return Jet(self.context, self.coeffs, accuracy)
+        """Copy trusted to ``accuracy``.
+
+        Lowering the accuracy drops coefficients; raising it extends with
+        zeros.
+        """
+        coeffs = self.coeffs
+        if accuracy > self.accuracy:
+            size = self.context.sizes[min(accuracy, self.context.truncation_order)]
+            coeffs = np.concatenate(
+                (coeffs, np.zeros(size - len(coeffs), dtype=np.complex128)))
+        return Jet(self.context, coeffs, accuracy)
 
     # -- calculus ---------------------------------------------------------
 
     def partial(self, var: int) -> "Jet":
         if self.accuracy < 1:
             raise AccuracyExhausted("derivative exceeds trusted degree")
-        src, dst, fac = self.context.diff_table(var)
-        out = np.zeros_like(self.coeffs)
-        out[dst] = self.coeffs[src] * fac
-        return Jet(self.context, out, self.accuracy - 1)
+        ctx, c = self.context, self.coeffs
+        src, dst, fac = ctx.diff_table(var)
+        # src is sorted, so the stored sources are a prefix of the table
+        k = np.searchsorted(src, len(c))
+        out = np.zeros(ctx.sizes[self.accuracy - 1], dtype=np.complex128)
+        out[dst[:k]] = c[src[:k]] * fac[:k]
+        return Jet(ctx, out, self.accuracy - 1)
 
     def dx(self, j: int) -> "Jet":
         return self.partial(self.context.x_index(j))
@@ -501,19 +517,21 @@ class Jet:
             point[: ctx.dimension] = np.asarray(x, dtype=np.complex128)
         if xi_offset is not None:
             point[ctx.dimension:] = np.asarray(xi_offset, dtype=np.complex128)
-        vals = np.prod(np.power(point[None, :], ctx._exps), axis=1)
+        exps = ctx._exps[:len(self.coeffs)]
+        vals = np.prod(np.power(point[None, :], exps), axis=1)
         return complex(np.dot(self.coeffs, vals))
 
     def at_boundary(self) -> "Jet":
         """Restrict to x_n = 0 (drop every monomial with normal content)."""
-        mask = self.context._exps[:, self.context.normal_index] == 0
-        return Jet(self.context, np.where(mask, self.coeffs, 0.0), self.accuracy)
+        ctx, c = self.context, self.coeffs
+        mask = ctx._exps[:len(c), ctx.normal_index] == 0
+        return Jet(ctx, np.where(mask, c, 0.0), self.accuracy)
 
     def xi_free_part(self) -> "Jet":
         """Part of the jet with no cotangent-offset content."""
-        ctx = self.context
-        mask = ctx._exps[:, ctx.dimension:].sum(axis=1) == 0
-        return Jet(ctx, np.where(mask, self.coeffs, 0.0), self.accuracy)
+        ctx, c = self.context, self.coeffs
+        mask = ctx._exps[:len(c), ctx.dimension:].sum(axis=1) == 0
+        return Jet(ctx, np.where(mask, c, 0.0), self.accuracy)
 
     def x_degree_cap(self, bound: int) -> "Jet":
         """Zero every monomial whose x-degree exceeds ``bound``.
@@ -522,13 +540,9 @@ class Jet:
         accuracy; this cap expresses it without touching the cotangent
         structure.
         """
-        ctx = self.context
-        mask = ctx._exps[:, : ctx.dimension].sum(axis=1) <= bound
-        return Jet(ctx, np.where(mask, self.coeffs, 0.0), self.accuracy)
-
-    def trusted_only(self) -> "Jet":
-        """Copy with every coefficient above the trusted degree zeroed."""
-        return Jet(self.context, self.trusted(), self.accuracy)
+        ctx, c = self.context, self.coeffs
+        mask = ctx._exps[:len(c), : ctx.dimension].sum(axis=1) <= bound
+        return Jet(ctx, np.where(mask, c, 0.0), self.accuracy)
 
     def substitute_xi(self, values) -> "Jet":
         """Evaluate the cotangent offsets at numeric values, keep x symbolic."""
@@ -538,8 +552,7 @@ class Jet:
             raise ValueError("need one value per cotangent offset variable")
         out = np.zeros_like(self.coeffs)
         n = ctx.dimension
-        for i, m in enumerate(ctx.monomials):
-            v = self.coeffs[i]
+        for m, v in zip(ctx.monomials, self.coeffs):
             if v == 0:
                 continue
             factor = 1.0 + 0.0j
@@ -552,9 +565,9 @@ class Jet:
         return Jet(ctx, out, self.accuracy)
 
     def depends_on_xi(self, tol: float = ZERO_COEFF_TOL) -> bool:
-        ctx = self.context
-        xi_mask = ctx._exps[:, ctx.dimension:].sum(axis=1) > 0
-        return bool(np.any(np.abs(np.where(xi_mask, self.coeffs, 0.0)) > tol))
+        ctx, c = self.context, self.coeffs
+        xi_mask = ctx._exps[:len(c), ctx.dimension:].sum(axis=1) > 0
+        return bool(np.any(np.abs(np.where(xi_mask, c, 0.0)) > tol))
 
     def __repr__(self):
         terms = []
@@ -562,13 +575,6 @@ class Jet:
             terms.append(f"{v:.3g}*{tuple(m)}")
         body = " + ".join(terms) if terms else "0"
         return f"Jet({body}, accuracy={self.accuracy})"
-
-
-# -- module-level operation aliases (the documented entry points) --------
-
-
-def mul(a: Jet, b: Jet) -> Jet:
-    return a * b
 
 
 def reciprocal(a: Jet) -> Jet:
@@ -595,10 +601,6 @@ def sqrt(a: Jet) -> Jet:
     for _ in range(steps):
         z = z * (3.0 - a * z * z) * 0.5
     return (a * z).with_accuracy(a.accuracy)
-
-
-def partial(a: Jet, var: int) -> Jet:
-    return a.partial(var)
 
 
 class JetMatrix:
@@ -686,11 +688,6 @@ class JetMatrix:
             out.append(row)
         return JetMatrix(self.context, out)
 
-    def transpose(self) -> "JetMatrix":
-        return JetMatrix(self.context,
-                         [[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
     def conjugate_transpose(self) -> "JetMatrix":
         return JetMatrix(self.context,
                          [[self.entries[i][j].conjugate() for i in range(self.rows)]
@@ -711,11 +708,11 @@ class JetMatrix:
     def constant_matrix(self) -> np.ndarray:
         return np.array([[e.constant_term for e in row] for row in self.entries])
 
-    def max_abs(self, trusted: bool = True) -> float:
-        return max(e.max_abs(trusted) for row in self.entries for e in row)
+    def max_abs(self) -> float:
+        return max(e.max_abs() for row in self.entries for e in row)
 
-    def max_imag(self, trusted: bool = True) -> float:
-        return max(e.max_imag(trusted) for row in self.entries for e in row)
+    def max_imag(self) -> float:
+        return max(e.max_imag() for row in self.entries for e in row)
 
     def allclose(self, other: "JetMatrix", tol: float = APPROX_TOL) -> bool:
         return all(a.allclose(b, tol)

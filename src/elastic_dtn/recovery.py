@@ -15,6 +15,7 @@ tangential jets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,9 +192,8 @@ def recover_order0(obs: ObservedSymbols, quadraticity_tol: float = QUADRATICITY_
     out = [[None] * (n - 1) for _ in range(n - 1)]
     for a in range(n - 1):
         for b in range(n - 1):
-            jet, imag = _realify(block[a][b], imaginary_tol,
-                                 f"inverse metric entry ({a},{b})")
-            out[a][b] = jet.trusted_only()
+            out[a][b], imag = _realify(block[a][b], imaginary_tol,
+                                       f"inverse metric entry ({a},{b})")
             worst_imag = max(worst_imag, imag)
     const = np.array([[out[a][b].constant_term.real for b in range(n - 1)]
                       for a in range(n - 1)])
@@ -213,31 +213,27 @@ def lin_inverse(X: JetMatrix, ctx: Factorization) -> JetMatrix:
     return X * (2 * ctx.norm) + (ctx.f2 @ X + X @ ctx.f1) * ctx.s2
 
 
-def _exactified(jet: Jet, accuracy: int) -> Jet:
-    # zero extension beyond the trusted degree turns recovered data into
-    # the exact polynomial that defines the reference chart
-    return jet.trusted_only().with_accuracy(accuracy)
-
-
 def _reference_metric(chart: JetContext, partial: RecoveredBoundaryData,
                       order: int, accuracy: int) -> MetricJet:
     """Chart matching recovered data below ``order``, zero at and above it.
 
-    Its jets are trusted to degree ``accuracy``.
+    Its jets are trusted to degree ``accuracy``: zero extension beyond the
+    trusted degree of the recovered data turns it into the exact polynomial
+    that defines the reference chart.
     """
-    import math
-
     nn = chart.dimension - 1
-    xn = Jet.x_var(chart, chart.normal_index)
-    entries = [[_exactified(partial.g_inv[a][b], accuracy) for b in range(nn)]
+    entries = [[partial.g_inv[a][b].with_accuracy(accuracy) for b in range(nn)]
                for a in range(nn)]
     for j in range(1, order):
         deriv = partial.normal_derivs[j - 1]
-        weight = xn ** j * (1.0 / math.factorial(j))
+        exps = [0] * chart.nvars
+        exps[chart.normal_index] = j
+        weight = Jet.from_coefficients(chart,
+                                       {tuple(exps): 1.0 / math.factorial(j)})
         for a in range(nn):
             for b in range(nn):
                 entries[a][b] = (entries[a][b]
-                                 + _exactified(deriv[a][b], accuracy) * weight)
+                                 + deriv[a][b].with_accuracy(accuracy) * weight)
     return _metric_from_inverse(chart, entries)[1]
 
 
@@ -377,9 +373,8 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
         for b in range(nn):
             entry = ((2 * lam + 5 * mu) * h * partial.g_inv[a][b]
                      - block[a][b]) * inv_l2m
-            jet, imag = _realify(entry, imaginary_tol,
-                                 f"order-{m} derivative entry ({a},{b})")
-            out[a][b] = jet.trusted_only()
+            out[a][b], imag = _realify(entry, imaginary_tol,
+                                       f"order-{m} derivative entry ({a},{b})")
             worst_imag = max(worst_imag, imag)
     diag.update({
         "imaginary": worst_imag,

@@ -158,7 +158,7 @@ def metric_from_json(context: JetContext, data: dict) -> MetricJet:
     for key, jet_map in data.items():
         a, b = block_key(key, n - 1, "metric")
         jet = jet_from_map(context, jet_map, where=f"metric[{key!r}]")
-        if jet.max_imag(trusted=False) > 1e-12:
+        if jet.max_imag() > 1e-12:
             raise SceneError(f"metric[{key!r}]: coefficients must be real")
         entries[a - 1][b - 1] = jet
         entries[b - 1][a - 1] = jet

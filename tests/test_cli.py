@@ -302,3 +302,22 @@ def test_recovered_loader_rejects_malformed_blocks(tmp_path, mutate, needle):
     mutate(raw)
     with pytest.raises(SceneError, match=needle):
         recovered_from_json(raw)
+
+
+@pytest.mark.parametrize("command", ["forward", "recover", "roundtrip", "verify"])
+def test_degenerate_lame_is_an_input_error(tmp_path, capsys, command):
+    # mu > 0 passes the admissibility check, but 1/mu is not a usable jet
+    cfg = write_scene(tmp_path / "scene.json", mu=1e-13)
+    sym = tmp_path / "symbols.json"
+    good = write_scene(tmp_path / "good.json")
+    assert main(["forward", "--config", str(good), "--out", str(sym)]) == 0
+    doc = json.loads(sym.read_text())
+    doc["lame"]["mu"] = {"0 0 0": [1e-13, 0.0]}
+    sym.write_text(json.dumps(doc))
+    source = {"recover": ["--symbols", str(sym)]}.get(command,
+                                                      ["--config", str(cfg)])
+    capsys.readouterr()
+    assert main([command, *source, "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        "error: jet not invertible: constant term vanishes"]

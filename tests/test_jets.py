@@ -126,6 +126,7 @@ def test_truncated_product_matches_full_kernel(n, K, xi0):
     rng = np.random.default_rng(n)
     for acc in (0, 1, K - 3, K):
         trusted = ctx.degrees <= acc
+        size = ctx.sizes[acc]
         general = random_jet(ctx, rng, degree=K)
         other = random_jet(ctx, rng, degree=K)
         # no coefficient at degrees 1..acc, arbitrary ones above acc
@@ -134,15 +135,13 @@ def test_truncated_product_matches_full_kernel(n, K, xi0):
         const = Jet(ctx, flat, K)
         # constant below acc except for the last trusted monomial
         last = flat.copy()
-        last[int(trusted.sum()) - 1] += 0.8j
+        last[size - 1] += 0.8j
         almost = Jet(ctx, last, K)
         for a, b in ((general, other), (const, general), (general, const),
                      (almost, general), (general, almost)):
             for prod in (a.with_accuracy(acc) * b, a * b.with_accuracy(acc)):
-                assert prod.accuracy == acc
-                assert np.array_equal(prod.coeffs[trusted],
-                                      _full_product(a, b)[trusted])
-                assert not prod.coeffs[~trusted].any()
+                assert prod.accuracy == acc and len(prod.coeffs) == size
+                assert np.array_equal(prod.coeffs, _full_product(a, b)[:size])
 
 
 def test_products_in_threads_match_serial_products():
@@ -169,18 +168,22 @@ def test_products_in_threads_match_serial_products():
 
 
 def test_inverses_hold_zeros_above_accuracy():
+    # the inverses start from full-accuracy constants; they store nothing
+    # above the accuracy of their argument
     ctx = make_context(n=2, K=6)
     rng = np.random.default_rng(4)
     acc = 3
-    above = ctx.degrees > acc
-    a = (random_jet(ctx, rng, degree=6, complex_coeffs=False) + 2.0).with_accuracy(acc)
-    assert a.coeffs[above].any()
+    size = ctx.sizes[acc]
+    full = random_jet(ctx, rng, degree=6, complex_coeffs=False) + 2.0
+    assert full.coeffs[ctx.degrees > acc].any()
+    a = full.with_accuracy(acc)
+    assert np.array_equal(a.coeffs, full.coeffs[:size])
     for out in (reciprocal(a), sqrt(a)):
-        assert out.accuracy == acc and not out.coeffs[above].any()
+        assert out.accuracy == acc and len(out.coeffs) == size
     m = JetMatrix(ctx, [[a, 0.3 * a], [0.2 * a, a + 1.0]])
     for row in mat_inverse(m).entries:
         for e in row:
-            assert e.accuracy == acc and not e.coeffs[above].any()
+            assert e.accuracy == acc and len(e.coeffs) == size
 
 
 def test_reciprocal_against_oracle_and_roundtrip():
@@ -273,6 +276,32 @@ def test_ring_axioms_random():
     assert ((a * b) * c).allclose(a * (b * c), tol=1e-13)
     assert (a * (b + c)).allclose(a * b + a * c, tol=1e-13)
     assert (a * b).allclose(b * a, tol=1e-13)
+
+
+def test_with_accuracy_drops_or_zero_extends():
+    ctx = make_context(n=2, K=6)
+    rng = np.random.default_rng(12)
+    a = random_jet(ctx, rng, degree=6)
+    assert a.coefficient((0, 3, 0)) != 0
+    low = a.with_accuracy(2)
+    assert low.accuracy == 2 and len(low.coeffs) == ctx.sizes[2]
+    assert np.array_equal(low.coeffs, a.coeffs[:ctx.sizes[2]])
+    assert low.coefficient((0, 3, 0)) == 0
+    high = low.with_accuracy(5)
+    assert high.accuracy == 5 and len(high.coeffs) == ctx.sizes[5]
+    assert np.array_equal(high.coeffs[:ctx.sizes[2]], low.coeffs)
+    assert not high.coeffs[ctx.sizes[2]:].any()
+    assert ctx.sizes[ctx.truncation_order] == ctx.n_coefficients
+
+
+def test_negative_accuracy_rejected():
+    ctx = make_context(n=2, K=6)
+    a = Jet.constant(ctx, 1.0)
+    for make in (lambda: Jet(ctx, a.coeffs, -1), lambda: a.with_accuracy(-1)):
+        with pytest.raises(ValueError, match="accuracy must be >= 0"):
+            make()
+    with pytest.raises(ValueError, match="needs 10 coefficients"):
+        Jet(ctx, a.coeffs[:4], 2)
 
 
 def test_accuracy_minimum_under_binary_ops():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastic_dtn import Jet, JetContext, JetMatrix, mat_inverse
+from elastic_dtn import Jet, JetContext, JetMatrix
 from elastic_dtn.geometry import LameJet, MetricJet
 from elastic_dtn.recovery import (
     ConsistencyError,
@@ -29,7 +29,6 @@ from elastic_dtn.symbols import (
     q_levels,
     solve_q,
 )
-from elastic_dtn.jets import reciprocal
 
 from roundtrip_utils import forward_observed, rel_err, true_inverse_derivatives
 
@@ -332,8 +331,27 @@ def test_trimmed_reference_level_matches_full_degree_run(n):
         full = p_level(ctx_full, q_levels(ctx_full, m - 1), 1 - m).at_boundary()
         assert trimmed.accuracy == trust + 2, (m, trust)
         assert full.accuracy >= trust + 2, (m, trust)
-        kept = chart.degrees <= trust + 2
+        kept = chart.sizes[trust + 2]
         for i in range(n):
             for j in range(n):
-                assert np.array_equal(trimmed[i, j].coeffs[kept],
-                                      full[i, j].coeffs[kept]), (m, i, j)
+                assert len(trimmed[i, j].coeffs) == kept, (m, i, j)
+                assert np.array_equal(trimmed[i, j].coeffs,
+                                      full[i, j].coeffs[:kept]), (m, i, j)
+
+
+def test_every_jet_stores_only_its_trusted_coefficients():
+    K, M = 6, 3
+    scene = random_scene(7, dimension=3, truncation_order=K, order=M)
+    observed, _ = forward_observed(scene, M)
+    loaded = observed_from_json(symbols_to_json(observed.p, scene.lame,
+                                                scene.context))
+    data = recover_full(observed, M)
+    sizes = scene.context.sizes
+    jets = [e for symbols in (observed, loaded)
+            for level in symbols.p.levels.values()
+            for row in level.entries for e in row]
+    jets += [e for block in (data.g_inv, *data.normal_derivs)
+             for row in block for e in row]
+    assert min(e.accuracy for e in jets) < K
+    for e in jets:
+        assert len(e.coeffs) == sizes[e.accuracy], e.accuracy

@@ -368,3 +368,23 @@ def test_symbol_levels_structure():
     assert levels.min_degree == -1
     with pytest.raises(KeyError):
         levels.level(-3)
+
+
+@pytest.mark.parametrize("n,K,M", [(2, 6, 3), (3, 6, 3), (4, 5, 2)])
+def test_levels_are_homogeneous_in_xi(n, K, M):
+    """Euler's relation: sum_a xi_a dL/dxi_a = d L on each level of degree d.
+
+    An independent check of the cotangent bookkeeping: a wrong xi-pairing
+    or a derivative in the wrong variable mixes homogeneity degrees.
+    """
+    for seed in (1, 2, 3):
+        ctx, scene = random_context(seed, dimension=n, K=K)
+        xi = [Jet.xi_component(scene.context, a) for a in range(n - 1)]
+        for levels in (q_levels(ctx, M), dtn_symbols(ctx, M)):
+            assert levels.min_degree == -M
+            for degree, level in levels.levels.items():
+                euler = level * float(-degree)
+                for a in range(n - 1):
+                    euler = euler + level.dxi(a) * xi[a]
+                assert euler.max_abs() <= scene.tolerance("algebra"), (
+                    seed, levels.kind, degree)
