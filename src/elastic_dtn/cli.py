@@ -1,9 +1,9 @@
 """Batch front end: forward, recover, roundtrip and verify pipelines.
 
 Exit codes: 0 success, 1 invariant/tolerance failure, 2 input error
-(including degenerate input such as a near-zero Lame coefficient, whose
-jets cannot be inverted), 3 accuracy exhaustion, 4 consistency-gate
-failure.  Output files are
+(including a matrix that ``mat_inverse`` refuses, such as one whose
+entries overflow), 3 accuracy exhaustion, 4 consistency-gate failure
+(NaN fails every gate).  Output files are
 written atomically and are byte-identical across repeated invocations
 with the same inputs; wall-clock timing goes to stderr only.
 """

@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .jets import (
+    APPROX_TOL,
     AccuracyExhausted,
     Jet,
     JetContext,
@@ -63,8 +64,7 @@ class MetricJet:
                 sym = (rows[a][b] + rows[b][a]) * 0.5
                 rows[a][b] = sym
                 rows[b][a] = sym
-        const = np.array([[rows[a][b].constant_term.real for b in range(n - 1)]
-                          for a in range(n - 1)])
+        const = np.array([[e.constant_term.real for e in row] for row in rows])
         if np.min(np.linalg.eigvalsh(const)) <= _EIGEN_TOL:
             raise ValueError("metric block must be positive definite at the base point")
         object.__setattr__(self, "context", context)
@@ -79,7 +79,7 @@ class MetricJet:
                              for a in range(n - 1)])
 
     def tangential_matrix(self) -> JetMatrix:
-        return JetMatrix(self.context, [list(r) for r in self.entries])
+        return JetMatrix(self.context, self.entries)
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,15 @@ class LameJet:
         mu = _require_real_spatial(mu, "mu coefficient")
         mu0 = mu.constant_term.real
         lam0 = lam.constant_term.real
-        if not (mu0 > 0.0 and lam0 + mu0 >= 0.0):
+        # with lambda + mu >= 0, mu above the inversion threshold keeps
+        # lambda + 2 mu and lambda + 3 mu above it too, so every reciprocal
+        # the symbols take exists
+        if not (mu0 > APPROX_TOL and lam0 + mu0 >= 0.0):
             raise ValueError(
                 "inadmissible material coefficients: require mu > 0 and "
-                f"lambda + mu >= 0 at the base point (got mu={mu0:g}, "
-                f"lambda+mu={lam0 + mu0:g})"
+                f"lambda + mu >= 0 at the base point, with mu above "
+                f"{APPROX_TOL:g} (got mu={mu0:g}, lambda+mu={lam0 + mu0:g})"
             )
-        # implied, but the symbol denominators rely on them
-        assert lam0 + 2 * mu0 > 0.0 and lam0 + 3 * mu0 > 0.0
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
 
@@ -178,13 +179,10 @@ class VectorFieldJet:
 def assemble_full_metric(metric: MetricJet) -> JetMatrix:
     """Embed the tangential block: unit normal entry, no mixed entries."""
     ctx = metric.context
-    n = ctx.dimension
-    full = JetMatrix.zeros(ctx, n, n)
-    for a in range(n - 1):
-        for b in range(n - 1):
-            full.entries[a][b] = metric.entries[a][b]
-    full.entries[n - 1][n - 1] = Jet.constant(ctx, 1.0)
-    return full
+    zero = Jet.zero(ctx)
+    rows = [list(row) + [zero] for row in metric.entries]
+    rows.append([zero] * len(metric.entries) + [Jet.constant(ctx, 1.0)])
+    return JetMatrix(ctx, rows)
 
 
 def tangential_block(full: JetMatrix) -> JetMatrix:
@@ -218,17 +216,17 @@ def christoffel(g: JetMatrix, ginv: JetMatrix) -> ChristoffelField:
 def ricci(gamma: ChristoffelField) -> JetMatrix:
     ctx = gamma.context
     n = ctx.dimension
-    out = JetMatrix.zeros(ctx, n, n)
-    for k in range(n):
-        for l in range(n):
-            acc = Jet.zero(ctx)
-            for j in range(n):
-                acc = acc + gamma[j, k, l].dx(j) - gamma[j, j, l].dx(k)
-                for m in range(n):
-                    acc = acc + gamma[j, j, m] * gamma[m, k, l] \
-                              - gamma[j, k, m] * gamma[m, j, l]
-            out.entries[k][l] = acc
-    return out
+
+    def entry(k: int, l: int) -> Jet:
+        acc = Jet.zero(ctx)
+        for j in range(n):
+            acc = acc + gamma[j, k, l].dx(j) - gamma[j, j, l].dx(k)
+            for m in range(n):
+                acc = acc + gamma[j, j, m] * gamma[m, k, l] \
+                          - gamma[j, k, m] * gamma[m, j, l]
+        return acc
+
+    return JetMatrix(ctx, [[entry(k, l) for l in range(n)] for k in range(n)])
 
 
 @dataclass(frozen=True)
@@ -388,24 +386,21 @@ def leading_coefficient_inverse(lame: LameJet, context: JetContext) -> JetMatrix
 def normal_multiplier_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
     """Zeroth-order coefficient of the first-order block of the system."""
     ctx = geo.g.context
-    n = ctx.dimension
-    nn = n - 1
+    nn = ctx.dimension - 1
     gamma, trace = geo.gamma, geo.trace
     lam, mu = lame.lam, lame.mu
     inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
     grad_lam = geo.raised_gradient(lam)
 
-    out = JetMatrix.zeros(ctx, n, n)
+    rows = []
     for a in range(nn):
-        for b in range(nn):
-            entry = 2 * gamma[a, b, nn]
-            if a == b:
-                entry = entry + trace[nn] + inv_mu * mu.dn()
-            out.entries[a][b] = entry
-        out.entries[a][nn] = inv_mu * grad_lam[a]
-        out.entries[nn][a] = (lam + mu) * inv_l2m * trace[a] + inv_l2m * mu.dx(a)
-    out.entries[nn][nn] = trace[nn] + inv_l2m * (lam + 2 * mu).dn()
-    return out
+        row = [2 * gamma[a, b, nn] for b in range(nn)]
+        row[a] = row[a] + trace[nn] + inv_mu * mu.dn()
+        rows.append(row + [inv_mu * grad_lam[a]])
+    rows.append([(lam + mu) * inv_l2m * trace[a] + inv_l2m * mu.dx(a)
+                 for a in range(nn)]
+                + [trace[nn] + inv_l2m * (lam + 2 * mu).dn()])
+    return JetMatrix(ctx, rows)
 
 
 def zeroth_order_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
@@ -429,19 +424,18 @@ def zeroth_order_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
 
     # the order of each sum is part of the output: symbols documents carry
     # its last bits
-    out = JetMatrix.zeros(ctx, n, n)
-    for a in range(nn):
-        for b in range(n):
-            entry = contracted(a, b)
-            for c in range(nn):
-                entry = entry + s_ratio * ginv[a, c] * trace[b].dx(c)
-                entry = entry - inv_mu * mu.dx(c) * ginv[a, c].dx(b)
-            out.entries[a][b] = entry + inv_mu * grad_lam[a] * trace[b]
-    for b in range(n):
-        out.entries[nn][b] = (lam + mu) * inv_l2m * trace[b].dn() \
-            + mu * inv_l2m * contracted(nn, b) \
-            + inv_l2m * lam.dn() * trace[b]
-    return out
+    def entry(a: int, b: int) -> Jet:
+        if a == nn:
+            return (lam + mu) * inv_l2m * trace[b].dn() \
+                + mu * inv_l2m * contracted(nn, b) \
+                + inv_l2m * lam.dn() * trace[b]
+        out = contracted(a, b)
+        for c in range(nn):
+            out = out + s_ratio * ginv[a, c] * trace[b].dx(c)
+            out = out - inv_mu * mu.dx(c) * ginv[a, c].dx(b)
+        return out + inv_mu * grad_lam[a] * trace[b]
+
+    return JetMatrix(ctx, [[entry(a, b) for b in range(n)] for a in range(n)])
 
 
 def apply_B(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:

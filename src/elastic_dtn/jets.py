@@ -20,6 +20,11 @@ compute only that prefix, sums and comparisons work on the common prefix,
 and ``with_accuracy`` drops coefficients or extends with zeros.  The
 public coefficient map and serialization operate on the sparse
 multi-index view.
+
+A :class:`JetMatrix` is one read-only array of shape (rows, cols,
+``sizes[A]``) with one accuracy A; ``m[i, j]`` is a read-only :class:`Jet`
+view.  Jets and matrices share the arithmetic over the last axis, and one
+product kernel serves every jet product, scaling and matrix product.
 """
 
 from __future__ import annotations
@@ -109,12 +114,14 @@ _BASIS_CACHE: dict = {}
 _MUL_CACHE: dict = {}
 _DIFF_CACHE: dict = {}
 
-# Product plans, one per chart shape and result accuracy A: the number of
-# targets of degree <= A, the prefix of the pair table that feeds them, and
-# gather buffers of that length.  Pair temporaries allocated in every product
-# would be returned to the system and faulted back in each time, so product
-# time would follow the host's memory state.  The buffers belong to the
-# thread and the shape, not to a context, so pooled contexts add nothing.
+# Product plans, one per chart shape, result accuracy A and leading operand
+# shapes: the number of targets of degree <= A, and their pairs cut into
+# chunks of whole target blocks, with views of the gather buffer.  The buffer
+# holds two pair tables of its chart shape; a chunk's gathers and products
+# fill at most that.  Pair temporaries allocated in every product would be
+# returned to the system and faulted back in each time, so product time
+# would follow the host's memory state.  The buffers belong to the thread
+# and the shape, not to a context, so pooled contexts add nothing.
 class _ProductPlans(threading.local):
     def __init__(self):
         self.buffers = {}
@@ -124,23 +131,63 @@ class _ProductPlans(threading.local):
 _PRODUCT_PLANS = _ProductPlans()
 
 
-def _product_plan(context: "JetContext", accuracy: int):
+def _product_plan(context: "JetContext", accuracy: int, lead_a, lead_b):
     local = _PRODUCT_PLANS
-    plan = local.plans.get((context._shape, accuracy))
+    key = (context._shape, accuracy, lead_a, lead_b)
+    plan = local.plans.get(key)
     if plan is None:
         left, right, starts = context.mul_table()
-        buffers = local.buffers.get(context._shape)
-        if buffers is None:
-            buffers = local.buffers[context._shape] = (
-                np.empty(len(left), dtype=np.complex128),
-                np.empty(len(left), dtype=np.complex128))
+        buffer = local.buffers.get(context._shape)
+        if buffer is None:
+            buffer = local.buffers[context._shape] = np.empty(
+                2 * len(left), dtype=np.complex128)
+        lead = np.broadcast_shapes(lead_a, lead_b)
+        shapes = [lead_a, lead_b]
+        if lead not in shapes:  # else the products overwrite that gather
+            shapes.append(lead)
+        bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
         # targets of degree <= accuracy are a prefix of the graded basis,
         # and their pairs are a prefix of the target-sorted table
         n = context.sizes[accuracy]
-        m = starts[n] if n < len(starts) else len(left)
-        plan = local.plans[(context._shape, accuracy)] = (
-            n, left[:m], right[:m], starts[:n], buffers[0][:m], buffers[1][:m])
+        edges = np.append(starts, len(left))[:n + 1]
+        chunks, t0 = [], 0
+        while t0 < n:
+            limit = edges[t0] + len(buffer) // bounds[-1]
+            t1 = max(t0 + 1, int(np.searchsorted(edges, limit, "right")) - 1)
+            p0, p1 = edges[t0], edges[t1]
+            views = [buffer[lo * (p1 - p0):hi * (p1 - p0)].reshape(shape + (-1,))
+                     for shape, lo, hi in zip(shapes, bounds, bounds[1:])]
+            chunks.append((slice(t0, t1), left[p0:p1], right[p0:p1],
+                           edges[t0:t1] - p0, *views[:2], views[shapes.index(lead)]))
+            t0 = t1
+        plan = local.plans[key] = (n, lead + (n,), chunks)
     return plan
+
+
+def _product(context: "JetContext", a: np.ndarray, b: np.ndarray,
+             accuracy: int) -> np.ndarray:
+    """Truncated products of coefficient arrays, entry by entry.
+
+    ``a`` and ``b`` hold jets along their last axis; their leading axes
+    broadcast.  Every jet product of the package runs here.  Each target's
+    pairs are reduced together and in table order, whatever the chunks.
+    """
+    n, shape, chunks = _product_plan(context, accuracy, a.shape[:-1],
+                                     b.shape[:-1])
+    # products are mostly small, so the fixed cost of each numpy call
+    # counts: the array methods skip the np.take wrapper
+    if not np.count_nonzero(a[..., 1:n]):
+        return a[..., :1] * b[..., :n]
+    if not np.count_nonzero(b[..., 1:n]):
+        return a[..., :n] * b[..., :1]
+    out = np.empty(shape, dtype=np.complex128)
+    for targets, left, right, starts, wa, wb, pairs in chunks:
+        # indices are in range; "wrap" skips the buffered bounds check
+        a.take(left, axis=-1, out=wa, mode="wrap")
+        b.take(right, axis=-1, out=wb, mode="wrap")
+        np.multiply(wa, wb, out=pairs)
+        np.add.reduceat(pairs, starts, axis=-1, out=out[..., targets])
+    return out
 
 
 def check_chart_shape(dimension: int, truncation_order: int) -> None:
@@ -300,43 +347,206 @@ class JetContext:
         )
 
 
-def _check_context(a: "Jet", b: "Jet") -> None:
+def _check_context(a: "_JetArray", b: "_JetArray") -> None:
     if a.context is not b.context and not a.context.compatible_with(b.context):
         raise ContextMismatch(
             f"jets built on incompatible contexts: {a.context!r} vs {b.context!r}"
         )
 
 
-class Jet:
+def _trusted(context: JetContext, accuracy) -> int:
+    """``accuracy`` capped at the truncation order; negative is an error."""
+    accuracy = min(int(accuracy), context.truncation_order)
+    if accuracy < 0:
+        raise ValueError(f"jet accuracy must be >= 0, got {accuracy}")
+    return accuracy
+
+
+class _JetArray:
+    """Jets along the last axis of ``coeffs``, all trusted to ``accuracy``.
+
+    ``coeffs`` has shape (..., ``context.sizes[accuracy]``).  The arithmetic
+    below is written once for every leading shape: :class:`Jet` has none,
+    :class:`JetMatrix` has (rows, cols).
+    """
+
+    __slots__ = ("context", "coeffs", "accuracy")
+
+    @classmethod
+    def _wrap(cls, context: JetContext, coeffs: np.ndarray, accuracy: int):
+        out = object.__new__(cls)
+        out.context = context
+        out.coeffs = coeffs
+        out.accuracy = accuracy
+        return out
+
+    # -- views ---------------------------------------------------------
+
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self.coeffs)))
+
+    def max_imag(self) -> float:
+        return float(np.max(np.abs(self.coeffs.imag)))
+
+    # -- predicates -----------------------------------------------------
+
+    def allclose(self, other, tol: float = APPROX_TOL) -> bool:
+        """Every common coefficient within ``tol``; NaN compares unequal."""
+        if not isinstance(other, _JetArray):
+            other = Jet.constant(self.context, other)
+        _check_context(self, other)
+        a, b = self.coeffs, other.coeffs
+        n = min(a.shape[-1], b.shape[-1])
+        return bool(np.all(np.abs(a[..., :n] - b[..., :n]) <= tol))
+
+    def is_zero(self, tol: float = APPROX_TOL) -> bool:
+        return self.allclose(0.0, tol)
+
+    # -- ring operations -------------------------------------------------
+
+    def _combine(self, other, op):
+        """``op`` (add or subtract) on the common prefix, or on constant terms."""
+        if not isinstance(other, _JetArray):
+            if self.coeffs.ndim > 1:
+                return NotImplemented  # a number is not a matrix
+            out = self.coeffs.copy()
+            op(out[..., 0], complex(other), out=out[..., 0])
+            return self._wrap(self.context, out, self.accuracy)
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_context(self, other)
+        a, b = self.coeffs, other.coeffs
+        if a.shape != b.shape:
+            n = min(a.shape[-1], b.shape[-1])
+            a, b = a[..., :n], b[..., :n]
+            if a.shape != b.shape:
+                raise ValueError("shapes do not align")
+        return self._wrap(self.context, op(a, b),
+                          min(self.accuracy, other.accuracy))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __rsub__(self, other):
+        return (-self) + complex(other)
+
+    def __neg__(self):
+        return self._wrap(self.context, -self.coeffs, self.accuracy)
+
+    def __mul__(self, other):
+        """Scale by a number or by a jet."""
+        if not isinstance(other, _JetArray):
+            return self._wrap(self.context, self.coeffs * complex(other),
+                              self.accuracy)
+        if not isinstance(other, Jet):
+            return NotImplemented
+        _check_context(self, other)
+        acc = min(self.accuracy, other.accuracy)
+        return self._wrap(self.context,
+                          _product(self.context, self.coeffs, other.coeffs, acc),
+                          acc)
+
+    __rmul__ = __mul__
+
+    def real_part(self):
+        return self._wrap(self.context, self.coeffs.real.astype(np.complex128),
+                          self.accuracy)
+
+    def with_accuracy(self, accuracy: int):
+        """Copy trusted to ``accuracy``.
+
+        Lowering the accuracy drops coefficients; raising it extends with
+        zeros.
+        """
+        ctx, c = self.context, self.coeffs
+        accuracy = _trusted(ctx, accuracy)
+        size = ctx.sizes[accuracy]
+        if size > c.shape[-1]:
+            pad = np.zeros(c.shape[:-1] + (size - c.shape[-1],), dtype=np.complex128)
+            c = np.concatenate((c, pad), axis=-1)
+        return self._wrap(ctx, c[..., :size], accuracy)
+
+    # -- calculus ---------------------------------------------------------
+
+    def partial(self, var: int):
+        if self.accuracy < 1:
+            raise AccuracyExhausted("derivative exceeds trusted degree")
+        ctx, c = self.context, self.coeffs
+        src, dst, fac = ctx.diff_table(var)
+        # src is sorted, so the stored sources are a prefix of the table
+        k = np.searchsorted(src, c.shape[-1])
+        out = np.zeros(c.shape[:-1] + (ctx.sizes[self.accuracy - 1],),
+                       dtype=np.complex128)
+        out[..., dst[:k]] = c[..., src[:k]] * fac[:k]
+        return self._wrap(ctx, out, self.accuracy - 1)
+
+    def dx(self, j: int):
+        return self.partial(self.context.x_index(j))
+
+    def dxi(self, alpha: int):
+        return self.partial(self.context.xi_index(alpha))
+
+    def dn(self):
+        return self.dx(self.context.normal_index)
+
+    def _masked(self, mask: np.ndarray):
+        return self._wrap(self.context, np.where(mask, self.coeffs, 0.0),
+                          self.accuracy)
+
+    def _exponents(self) -> np.ndarray:
+        return self.context._exps[:self.coeffs.shape[-1]]
+
+    def at_boundary(self):
+        """Restrict to x_n = 0 (drop every monomial with normal content)."""
+        return self._masked(self._exponents()[:, self.context.normal_index] == 0)
+
+    def xi_free_part(self):
+        """Part with no cotangent-offset content."""
+        return self._masked(
+            self._exponents()[:, self.context.dimension:].sum(axis=1) == 0)
+
+    def x_degree_cap(self, bound: int):
+        """Zero every monomial whose x-degree exceeds ``bound``.
+
+        Spatial trust is sometimes narrower than the total-degree
+        accuracy; this cap expresses it without touching the cotangent
+        structure.
+        """
+        return self._masked(
+            self._exponents()[:, :self.context.dimension].sum(axis=1) <= bound)
+
+
+class Jet(_JetArray):
     """One truncated Taylor expansion tied to a :class:`JetContext`.
 
     ``coeffs`` holds exactly the coefficients of degree <= ``accuracy``; a
     longer vector is cut to that prefix.
     """
 
-    __slots__ = ("context", "coeffs", "accuracy")
+    __slots__ = ()
 
     def __init__(self, context: JetContext, coeffs: np.ndarray, accuracy: int):
-        accuracy = min(int(accuracy), context.truncation_order)
-        if accuracy < 0:
-            raise ValueError(f"jet accuracy must be >= 0, got {accuracy}")
+        accuracy = _trusted(context, accuracy)
         size = context.sizes[accuracy]
-        if len(coeffs) != size:
-            if len(coeffs) < size:
-                raise ValueError(f"accuracy {accuracy} needs {size} "
-                                 f"coefficients, got {len(coeffs)}")
-            coeffs = coeffs[:size]
+        if len(coeffs) < size:
+            raise ValueError(f"accuracy {accuracy} needs {size} "
+                             f"coefficients, got {len(coeffs)}")
         self.context = context
-        self.coeffs = coeffs
+        self.coeffs = coeffs[:size]
         self.accuracy = accuracy
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, context: JetContext, value) -> "Jet":
-        c = np.zeros(context.n_coefficients, dtype=np.complex128)
-        c[0] = complex(value)
-        return cls(context, c, context.truncation_order)
+    def constant(cls, context: JetContext, value, accuracy=None) -> "Jet":
+        """The constant ``value``, trusted to ``accuracy`` (default: K)."""
+        return cls.from_coefficients(context, {(0,) * context.nvars: value},
+                                     accuracy)
 
     @classmethod
     def zero(cls, context: JetContext) -> "Jet":
@@ -346,9 +556,7 @@ class Jet:
     def variable(cls, context: JetContext, var: int) -> "Jet":
         exps = [0] * context.nvars
         exps[var] = 1
-        c = np.zeros(context.n_coefficients, dtype=np.complex128)
-        c[context.monomial_position(exps)] = 1.0
-        return cls(context, c, context.truncation_order)
+        return cls.from_coefficients(context, {tuple(exps): 1.0})
 
     @classmethod
     def x_var(cls, context: JetContext, j: int) -> "Jet":
@@ -361,19 +569,26 @@ class Jet:
     @classmethod
     def xi_component(cls, context: JetContext, alpha: int) -> "Jet":
         """The covector component xi_alpha = xi0_alpha + offset variable."""
-        jet = cls.xi_offset(context, alpha)
-        out = jet.coeffs.copy()
-        out[0] += context.base_covector[alpha]
-        return cls(context, out, context.truncation_order)
+        return cls.xi_offset(context, alpha) + context.base_covector[alpha]
 
     @classmethod
-    def from_coefficients(cls, context: JetContext, coefficients, accuracy=None) -> "Jet":
-        c = np.zeros(context.n_coefficients, dtype=np.complex128)
-        for exps, value in coefficients.items():
-            c[context.monomial_position(exps)] = complex(value)
+    def from_coefficients(cls, context: JetContext, coefficients,
+                          accuracy=None) -> "Jet":
+        """Jet of a sparse coefficient map, trusted to ``accuracy`` (default: K).
+
+        The vector has exactly ``context.sizes[accuracy]`` entries;
+        coefficients of higher degree are dropped.
+        """
         if accuracy is None:
             accuracy = context.truncation_order
-        return cls(context, c, accuracy)
+        accuracy = _trusted(context, accuracy)
+        size = context.sizes[accuracy]
+        c = np.zeros(size, dtype=np.complex128)
+        for exps, value in coefficients.items():
+            pos = context.monomial_position(exps)
+            if pos < size:
+                c[pos] = complex(value)
+        return cls._wrap(context, c, accuracy)
 
     # -- views ---------------------------------------------------------
 
@@ -394,122 +609,6 @@ class Jet:
                 out[MultiIndex(m)] = complex(v)
         return out
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def max_imag(self) -> float:
-        return float(np.max(np.abs(self.coeffs.imag)))
-
-    # -- predicates -----------------------------------------------------
-
-    def allclose(self, other, tol: float = APPROX_TOL) -> bool:
-        if not isinstance(other, Jet):
-            other = Jet.constant(self.context, other)
-        _check_context(self, other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        return bool(np.all(np.abs(self.coeffs[:n] - other.coeffs[:n]) <= tol))
-
-    def is_zero(self, tol: float = APPROX_TOL) -> bool:
-        return self.allclose(0.0, tol)
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            out = self.coeffs.copy()
-            out[0] += complex(other)
-            return Jet(self.context, out, self.accuracy)
-        _check_context(self, other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) != len(b):
-            n = min(len(a), len(b))
-            a, b = a[:n], b[:n]
-        return Jet(self.context, a + b, min(self.accuracy, other.accuracy))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.context, -self.coeffs, self.accuracy)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + complex(other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.context, self.coeffs * complex(other), self.accuracy)
-        _check_context(self, other)
-        ctx = self.context
-        acc = min(self.accuracy, other.accuracy)
-        n, left, right, starts, w1, w2 = _product_plan(ctx, acc)
-        a, b = self.coeffs, other.coeffs
-        # products are mostly small, so the fixed cost of each numpy call
-        # counts: the array methods skip the np.take wrapper
-        if not np.count_nonzero(a[1:n]):
-            out = a[0] * b[:n]
-        elif not np.count_nonzero(b[1:n]):
-            out = a[:n] * b[0]
-        else:
-            # indices are in range; "wrap" skips the buffered bounds check
-            a.take(left, out=w1, mode="wrap")
-            b.take(right, out=w2, mode="wrap")
-            np.multiply(w1, w2, out=w1)
-            out = np.add.reduceat(w1, starts)
-        return Jet(ctx, out, acc)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return self * (1.0 / complex(other))
-        return self * reciprocal(other)
-
-    def __rtruediv__(self, other):
-        return reciprocal(self) * complex(other)
-
-    def conjugate(self) -> "Jet":
-        return Jet(self.context, np.conj(self.coeffs), self.accuracy)
-
-    def real_part(self) -> "Jet":
-        return Jet(self.context, self.coeffs.real.astype(np.complex128), self.accuracy)
-
-    def with_accuracy(self, accuracy: int) -> "Jet":
-        """Copy trusted to ``accuracy``.
-
-        Lowering the accuracy drops coefficients; raising it extends with
-        zeros.
-        """
-        coeffs = self.coeffs
-        if accuracy > self.accuracy:
-            size = self.context.sizes[min(accuracy, self.context.truncation_order)]
-            coeffs = np.concatenate(
-                (coeffs, np.zeros(size - len(coeffs), dtype=np.complex128)))
-        return Jet(self.context, coeffs, accuracy)
-
-    # -- calculus ---------------------------------------------------------
-
-    def partial(self, var: int) -> "Jet":
-        if self.accuracy < 1:
-            raise AccuracyExhausted("derivative exceeds trusted degree")
-        ctx, c = self.context, self.coeffs
-        src, dst, fac = ctx.diff_table(var)
-        # src is sorted, so the stored sources are a prefix of the table
-        k = np.searchsorted(src, len(c))
-        out = np.zeros(ctx.sizes[self.accuracy - 1], dtype=np.complex128)
-        out[dst[:k]] = c[src[:k]] * fac[:k]
-        return Jet(ctx, out, self.accuracy - 1)
-
-    def dx(self, j: int) -> "Jet":
-        return self.partial(self.context.x_index(j))
-
-    def dxi(self, alpha: int) -> "Jet":
-        return self.partial(self.context.xi_index(alpha))
-
-    def dn(self) -> "Jet":
-        return self.dx(self.context.normal_index)
-
     def evaluate(self, x=None, xi_offset=None) -> complex:
         ctx = self.context
         point = np.zeros(ctx.nvars, dtype=np.complex128)
@@ -517,32 +616,8 @@ class Jet:
             point[: ctx.dimension] = np.asarray(x, dtype=np.complex128)
         if xi_offset is not None:
             point[ctx.dimension:] = np.asarray(xi_offset, dtype=np.complex128)
-        exps = ctx._exps[:len(self.coeffs)]
-        vals = np.prod(np.power(point[None, :], exps), axis=1)
+        vals = np.prod(np.power(point[None, :], self._exponents()), axis=1)
         return complex(np.dot(self.coeffs, vals))
-
-    def at_boundary(self) -> "Jet":
-        """Restrict to x_n = 0 (drop every monomial with normal content)."""
-        ctx, c = self.context, self.coeffs
-        mask = ctx._exps[:len(c), ctx.normal_index] == 0
-        return Jet(ctx, np.where(mask, c, 0.0), self.accuracy)
-
-    def xi_free_part(self) -> "Jet":
-        """Part of the jet with no cotangent-offset content."""
-        ctx, c = self.context, self.coeffs
-        mask = ctx._exps[:len(c), ctx.dimension:].sum(axis=1) == 0
-        return Jet(ctx, np.where(mask, c, 0.0), self.accuracy)
-
-    def x_degree_cap(self, bound: int) -> "Jet":
-        """Zero every monomial whose x-degree exceeds ``bound``.
-
-        Spatial trust is sometimes narrower than the total-degree
-        accuracy; this cap expresses it without touching the cotangent
-        structure.
-        """
-        ctx, c = self.context, self.coeffs
-        mask = ctx._exps[:len(c), : ctx.dimension].sum(axis=1) <= bound
-        return Jet(ctx, np.where(mask, c, 0.0), self.accuracy)
 
     def substitute_xi(self, values) -> "Jet":
         """Evaluate the cotangent offsets at numeric values, keep x symbolic."""
@@ -565,9 +640,8 @@ class Jet:
         return Jet(ctx, out, self.accuracy)
 
     def depends_on_xi(self, tol: float = ZERO_COEFF_TOL) -> bool:
-        ctx, c = self.context, self.coeffs
-        xi_mask = ctx._exps[:len(c), ctx.dimension:].sum(axis=1) > 0
-        return bool(np.any(np.abs(np.where(xi_mask, c, 0.0)) > tol))
+        xi_mask = self._exponents()[:, self.context.dimension:].sum(axis=1) > 0
+        return bool(np.any(np.abs(np.where(xi_mask, self.coeffs, 0.0)) > tol))
 
     def __repr__(self):
         terms = []
@@ -580,9 +654,9 @@ class Jet:
 def reciprocal(a: Jet) -> Jet:
     """Taylor inverse; requires a nonvanishing constant term."""
     c0 = a.constant_term
-    if abs(c0) <= APPROX_TOL:
+    if not abs(c0) > APPROX_TOL:  # a NaN constant term fails too
         raise NotInvertible("jet not invertible: constant term vanishes")
-    x = Jet.constant(a.context, 1.0 / c0).with_accuracy(a.accuracy)
+    x = Jet.constant(a.context, 1.0 / c0, a.accuracy)
     steps = max(1, math.ceil(math.log2(a.context.truncation_order + 1)))
     for _ in range(steps):
         x = x * (2.0 - a * x)
@@ -592,135 +666,96 @@ def reciprocal(a: Jet) -> Jet:
 def sqrt(a: Jet) -> Jet:
     """Principal square root; the constant term must be real and positive."""
     c0 = a.constant_term
-    if abs(c0.imag) > APPROX_TOL:
+    # written so that a NaN constant term fails them
+    if not abs(c0.imag) <= APPROX_TOL:
         raise NotInvertible("jet square root requires a real constant term")
-    if c0.real <= APPROX_TOL:
+    if not c0.real > APPROX_TOL:
         raise NotInvertible("jet square root requires a positive constant term")
-    z = Jet.constant(a.context, 1.0 / math.sqrt(c0.real)).with_accuracy(a.accuracy)
+    z = Jet.constant(a.context, 1.0 / math.sqrt(c0.real), a.accuracy)
     steps = max(1, math.ceil(math.log2(a.context.truncation_order + 1)))
     for _ in range(steps):
         z = z * (3.0 - a * z * z) * 0.5
     return (a * z).with_accuracy(a.accuracy)
 
 
-class JetMatrix:
-    """Rectangular matrix of jets sharing one context."""
+class JetMatrix(_JetArray):
+    """Matrix of jets on one chart, all trusted to one accuracy.
 
-    __slots__ = ("context", "rows", "cols", "entries")
+    ``coeffs`` is one read-only array of shape (rows, cols,
+    ``sizes[accuracy]``); ``m[i, j]`` is a read-only :class:`Jet` view of
+    an entry.  A matrix built from jets of several accuracies is trusted
+    to the lowest.
+    """
+
+    __slots__ = ()
 
     def __init__(self, context: JetContext, entries):
+        rows = [list(row) for row in entries]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("matrix rows must have equal length")
         self.context = context
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("matrix rows must have equal length")
+        for row in rows:
             for e in row:
-                if e.context is not context and not e.context.compatible_with(context):
-                    raise ContextMismatch("matrix entries on incompatible contexts")
+                _check_context(self, e)
+        self.accuracy = min(e.accuracy for row in rows for e in row)
+        size = context.sizes[self.accuracy]
+        self.coeffs = np.array([[e.coeffs[:size] for e in row] for row in rows],
+                               dtype=np.complex128)
+        self.coeffs.flags.writeable = False
+
+    @classmethod
+    def _wrap(cls, context, coeffs, accuracy):
+        coeffs.flags.writeable = False
+        return super()._wrap(context, coeffs, accuracy)
 
     @classmethod
     def zeros(cls, context: JetContext, rows: int, cols: int) -> "JetMatrix":
-        return cls(context, [[Jet.zero(context) for _ in range(cols)]
-                             for _ in range(rows)])
+        return cls(context, [[Jet.zero(context)] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, context: JetContext, size: int) -> "JetMatrix":
-        m = cls.zeros(context, size, size)
-        for i in range(size):
-            m.entries[i][i] = Jet.constant(context, 1.0)
-        return m
+        return cls.diagonal(context, [1.0] * size)
 
     @classmethod
     def diagonal(cls, context: JetContext, diag) -> "JetMatrix":
-        diag = list(diag)
-        m = cls.zeros(context, len(diag), len(diag))
-        for i, d in enumerate(diag):
-            m.entries[i][i] = d if isinstance(d, Jet) else Jet.constant(context, d)
-        return m
+        diag = [d if isinstance(d, Jet) else Jet.constant(context, d) for d in diag]
+        zero = Jet.zero(context)
+        return cls(context, [[d if i == j else zero for j in range(len(diag))]
+                             for i, d in enumerate(diag)])
 
     @classmethod
     def column(cls, context: JetContext, jets) -> "JetMatrix":
         return cls(context, [[j] for j in jets])
 
-    def __getitem__(self, key) -> Jet:
-        i, j = key
-        return self.entries[i][j]
+    @property
+    def rows(self) -> int:
+        return self.coeffs.shape[0]
 
     @property
-    def accuracy(self) -> int:
-        return min(e.accuracy for row in self.entries for e in row)
+    def cols(self) -> int:
+        return self.coeffs.shape[1]
 
-    def map(self, fn) -> "JetMatrix":
-        return JetMatrix(self.context,
-                         [[fn(e) for e in row] for row in self.entries])
-
-    def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        return JetMatrix(self.context,
-                         [[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "JetMatrix") -> "JetMatrix":
-        return JetMatrix(self.context,
-                         [[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "JetMatrix":
-        return self.map(lambda e: -e)
-
-    def __mul__(self, factor) -> "JetMatrix":
-        return self.map(lambda e: e * factor)
-
-    __rmul__ = __mul__
+    def __getitem__(self, key) -> Jet:
+        i, j = key
+        return Jet._wrap(self.context, self.coeffs[i, j], self.accuracy)
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shapes do not align")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return JetMatrix(self.context, out)
+        _check_context(self, other)
+        ctx = self.context
+        acc = min(self.accuracy, other.accuracy)
+        a, b = self.coeffs, other.coeffs
+        # the k terms are added in order, so every entry has the bits of
+        # the sum written out entry by entry
+        out = _product(ctx, a[:, :1], b[:1], acc)
+        for k in range(1, self.cols):
+            out += _product(ctx, a[:, k:k + 1], b[k:k + 1], acc)
+        return self._wrap(ctx, out, acc)
 
     def conjugate_transpose(self) -> "JetMatrix":
-        return JetMatrix(self.context,
-                         [[self.entries[i][j].conjugate() for i in range(self.rows)]
-                          for j in range(self.cols)])
-
-    def partial(self, var: int) -> "JetMatrix":
-        return self.map(lambda e: e.partial(var))
-
-    def dx(self, j: int) -> "JetMatrix":
-        return self.map(lambda e: e.dx(j))
-
-    def dxi(self, alpha: int) -> "JetMatrix":
-        return self.map(lambda e: e.dxi(alpha))
-
-    def at_boundary(self) -> "JetMatrix":
-        return self.map(lambda e: e.at_boundary())
-
-    def constant_matrix(self) -> np.ndarray:
-        return np.array([[e.constant_term for e in row] for row in self.entries])
-
-    def max_abs(self) -> float:
-        return max(e.max_abs() for row in self.entries for e in row)
-
-    def max_imag(self) -> float:
-        return max(e.max_imag() for row in self.entries for e in row)
-
-    def allclose(self, other: "JetMatrix", tol: float = APPROX_TOL) -> bool:
-        return all(a.allclose(b, tol)
-                   for ra, rb in zip(self.entries, other.entries)
-                   for a, b in zip(ra, rb))
-
-    def is_zero(self, tol: float = APPROX_TOL) -> bool:
-        return all(e.is_zero(tol) for row in self.entries for e in row)
+        return self._wrap(self.context, np.conj(self.coeffs).transpose(1, 0, 2),
+                          self.accuracy)
 
     def __repr__(self):
         return f"JetMatrix({self.rows}x{self.cols}, accuracy={self.accuracy})"
@@ -729,13 +764,15 @@ class JetMatrix:
 def mat_inverse(matrix: JetMatrix) -> JetMatrix:
     """Invert a square jet matrix by Newton iteration on the constant inverse.
 
-    The constant-term matrix must be numerically invertible; a condition
-    number above 1e8 triggers a warning diagnostic.
+    The constant-term matrix must be finite and numerically invertible; a
+    condition number above 1e8 triggers a warning diagnostic.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("only square matrices can be inverted")
     ctx = matrix.context
-    m0 = matrix.constant_matrix()
+    m0 = matrix.coeffs[:, :, 0]
+    if not np.isfinite(m0).all():
+        raise NotInvertible("matrix constant term is not finite")
     cond = np.linalg.cond(m0)
     if not np.isfinite(cond):
         raise NotInvertible("matrix constant term is singular")
@@ -749,13 +786,13 @@ def mat_inverse(matrix: JetMatrix) -> JetMatrix:
         inv0 = np.linalg.inv(m0)
     except np.linalg.LinAlgError as exc:
         raise NotInvertible("matrix constant term is singular") from exc
-    x = JetMatrix(ctx, [[Jet.constant(ctx, inv0[i][j]).with_accuracy(matrix.accuracy)
-                         for j in range(matrix.cols)] for i in range(matrix.rows)])
+    x = JetMatrix(ctx, [[Jet.constant(ctx, v, matrix.accuracy) for v in row]
+                        for row in inv0])
     two_i = JetMatrix.identity(ctx, matrix.rows) * 2.0
     steps = max(1, math.ceil(math.log2(ctx.truncation_order + 1)))
     for _ in range(steps):
         x = x @ (two_i - matrix @ x)
     residual = (matrix @ x - JetMatrix.identity(ctx, matrix.rows)).max_abs()
-    if residual > max(1e-10, cond * 1e-15):
+    if not residual <= max(1e-10, cond * 1e-15):
         raise NotInvertible(f"matrix inversion residual {residual:.3g} too large")
     return x

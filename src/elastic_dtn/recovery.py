@@ -98,8 +98,7 @@ class RecoveredBoundaryData:
             for b in range(a + 1, nn):
                 if not rows[a][b].allclose(rows[b][a], tol=1e-10):
                     raise ValueError("recovered block must be symmetric")
-        const = np.array([[rows[a][b].constant_term.real for b in range(nn)]
-                          for a in range(nn)])
+        const = np.array([[e.constant_term.real for e in row] for row in rows])
         if np.min(np.linalg.eigvalsh(const)) <= 0:
             raise ValueError("recovered block must be positive definite "
                              "at the base point")
@@ -107,7 +106,7 @@ class RecoveredBoundaryData:
 
 def _realify(jet: Jet, tol: float, where: str) -> tuple[Jet, float]:
     worst = jet.max_imag()
-    if worst > tol:
+    if not worst <= tol:  # NaN fails every gate
         raise ConsistencyError(
             f"{where}: imaginary residual {worst:.3g} exceeds {tol:g}")
     return jet.real_part(), worst
@@ -137,7 +136,7 @@ def extract_quadratic(Q: Jet, tol: float = QUADRATICITY_TOL):
         for b in range(nn):
             rebuilt = rebuilt + block[a][b] * xi[a] * xi[b]
     residual = (Q - rebuilt).max_abs()
-    if residual > tol:
+    if not residual <= tol:
         raise ConsistencyError(
             f"observed level inconsistent with quadratic-form model "
             f"(residual {residual:.3g} > {tol:g})")
@@ -184,7 +183,7 @@ def recover_order0(obs: ObservedSymbols, quadraticity_tol: float = QUADRATICITY_
     """Boundary inverse metric (with tangential jets) from the principal level."""
     n = obs.chart.dimension
     norm_rec = _principal_norm(obs)
-    if norm_rec.constant_term.real <= 0:
+    if not norm_rec.constant_term.real > 0:
         raise ConsistencyError("recovered cotangent norm is not positive")
     norm_sq = norm_rec * norm_rec
     block, diag = extract_quadratic(norm_sq, tol=quadraticity_tol)
@@ -195,9 +194,8 @@ def recover_order0(obs: ObservedSymbols, quadraticity_tol: float = QUADRATICITY_
             out[a][b], imag = _realify(block[a][b], imaginary_tol,
                                        f"inverse metric entry ({a},{b})")
             worst_imag = max(worst_imag, imag)
-    const = np.array([[out[a][b].constant_term.real for b in range(n - 1)]
-                      for a in range(n - 1)])
-    if np.min(np.linalg.eigvalsh(const)) <= 0:
+    const = np.array([[e.constant_term.real for e in row] for row in out])
+    if not np.min(np.linalg.eigvalsh(const)) > 0:
         raise ConsistencyError("recovered inverse metric is not positive definite")
     diag["imaginary"] = worst_imag
     return tuple(tuple(r) for r in out), diag
@@ -221,28 +219,23 @@ def _reference_metric(chart: JetContext, partial: RecoveredBoundaryData,
     trusted degree of the recovered data turns it into the exact polynomial
     that defines the reference chart.
     """
-    nn = chart.dimension - 1
-    entries = [[partial.g_inv[a][b].with_accuracy(accuracy) for b in range(nn)]
-               for a in range(nn)]
+    ginv = JetMatrix(chart, partial.g_inv).with_accuracy(accuracy)
     for j in range(1, order):
-        deriv = partial.normal_derivs[j - 1]
         exps = [0] * chart.nvars
         exps[chart.normal_index] = j
         weight = Jet.from_coefficients(chart,
                                        {tuple(exps): 1.0 / math.factorial(j)})
-        for a in range(nn):
-            for b in range(nn):
-                entries[a][b] = (entries[a][b]
-                                 + deriv[a][b].with_accuracy(accuracy) * weight)
-    return _metric_from_inverse(chart, entries)[1]
+        deriv = JetMatrix(chart, partial.normal_derivs[j - 1])
+        ginv = ginv + deriv.with_accuracy(accuracy) * weight
+    return _metric_from_inverse(ginv)[1]
 
 
-def _metric_from_inverse(chart: JetContext, ginv_entries):
+def _metric_from_inverse(ginv: JetMatrix):
     """The inverse of a tangential block, raw and as a real metric."""
-    nn = chart.dimension - 1
-    g = mat_inverse(JetMatrix(chart, [list(row) for row in ginv_entries]))
-    return g, MetricJet(chart, [[g[a, b].real_part() for b in range(nn)]
-                                for a in range(nn)])
+    g = mat_inverse(ginv)
+    real = g.real_part()
+    return g, MetricJet(g.context, [[real[a, b] for b in range(g.cols)]
+                                    for a in range(g.rows)])
 
 
 @dataclass(frozen=True)
@@ -262,7 +255,7 @@ def boundary_factorization(obs: ObservedSymbols,
 
     Every peeling order reads the same data, so it is built once.
     """
-    g, metric = _metric_from_inverse(obs.chart, g_inv)
+    g, metric = _metric_from_inverse(JetMatrix(obs.chart, g_inv))
     lame_b = LameJet(obs.lame.lam.at_boundary(), obs.lame.mu.at_boundary())
     fac = factorization(mat_inverse(assemble_full_metric(metric)), lame_b,
                         obs.chart)
@@ -361,7 +354,7 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
             trace = trace + block[a][b] * boundary.g[a, b]
     denom = nn * (2 * lam + 5 * mu) - (lam + 2 * mu)
     denom_const = denom.constant_term.real
-    if denom_const <= 0:
+    if not denom_const > 0:
         raise ConsistencyError(
             f"trace denominator must be positive, got {denom_const:g}")
     h = trace * reciprocal(denom)
@@ -421,11 +414,6 @@ def recover_full(obs: ObservedSymbols, M: int,
 
 def _cross_check_residual(obs: ObservedSymbols, g_inv) -> float:
     """Deviation between Hessian and polarization extraction at order 0."""
-    n = obs.chart.dimension
     norm_rec = _principal_norm(obs)
     sampled = extract_quadratic_sampled(norm_rec * norm_rec)
-    worst = 0.0
-    for a in range(n - 1):
-        for b in range(n - 1):
-            worst = max(worst, (sampled[a][b] - g_inv[a][b]).max_abs())
-    return worst
+    return (JetMatrix(obs.chart, sampled) - JetMatrix(obs.chart, g_inv)).max_abs()

@@ -78,6 +78,15 @@ def complex_from_json(value, where: str = "value") -> complex:
                      f"got {value!r}")
 
 
+def require_int(value, where: str, low: int, high: int | None = None) -> int:
+    """A JSON integer (not a bool) in ``low..high``; else an input error."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (high is not None and value > high)):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise SceneError(f"{where} must be an integer {span}, got {value!r}")
+    return value
+
+
 def jet_to_map(jet: Jet) -> dict:
     out = {}
     for exps, value in jet.coefficients().items():
@@ -104,10 +113,7 @@ def jet_from_map(context: JetContext, data: dict, where: str = "jet",
                 f"{where}: exponent key {key!r} exceeds truncation order "
                 f"{context.truncation_order}")
         coeffs[exps] = complex_from_json(value, f"{where}[{key!r}]")
-    jet = Jet.from_coefficients(context, coeffs)
-    if accuracy is not None:
-        jet = jet.with_accuracy(accuracy)
-    return jet
+    return Jet.from_coefficients(context, coeffs, accuracy)
 
 
 def context_to_json(context: JetContext) -> dict:
@@ -123,7 +129,9 @@ def context_from_json(data: dict, where: str = "chart") -> JetContext:
         covector = [float(v) for v in data["base_covector"]]
         if not all(math.isfinite(v) for v in covector):
             raise ValueError(f"base covector must be finite, got {covector}")
-        return JetContext(int(data["dimension"]), int(data["truncation_order"]),
+        return JetContext(require_int(data["dimension"], f"{where}: dimension", 2),
+                          require_int(data["truncation_order"],
+                                      f"{where}: truncation_order", 2),
                           covector)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"{where}: invalid chart: {exc}") from exc
@@ -172,13 +180,14 @@ def metric_from_json(context: JetContext, data: dict) -> MetricJet:
         raise SceneError(f"metric: {exc}") from exc
 
 
-def lame_from_json(context: JetContext, lam_map: dict, mu_map: dict) -> LameJet:
+def lame_from_json(context: JetContext, lam_map: dict, mu_map: dict,
+                   where: str) -> LameJet:
     lam = jet_from_map(context, lam_map, where="lambda")
     mu = jet_from_map(context, mu_map, where="mu")
     try:
         return LameJet(lam, mu)
     except ValueError as exc:
-        raise SceneError(str(exc)) from exc
+        raise SceneError(f"{where}: {exc}") from exc
 
 
 # -- scene documents ------------------------------------------------------
@@ -213,35 +222,27 @@ def scene_from_json(data: dict) -> SceneConfig:
     if not isinstance(tolerances, dict):
         raise SceneError("scene: tolerances must be an object")
     try:
-        n = int(data["dimension"])
-        order = int(data.get("order", 3))
-        seed = None if data.get("seed") is None else int(data["seed"])
         tolerances = {k: float(v) for k, v in tolerances.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"scene: {exc}") from exc
     if not all(math.isfinite(v) for v in tolerances.values()):
         raise SceneError(f"scene: tolerances must be finite, got {tolerances}")
-    context = context_from_json(
-        {
-            "dimension": n,
-            "truncation_order": data["truncation_order"],
-            "base_covector": data["base_covector"],
-        },
-        where="scene",
-    )
-    if order < 0:
-        raise SceneError("scene: order must be >= 0")
+    order = require_int(data.get("order", 3), "scene: order", 0)
+    seed = data.get("seed")
+    if seed is not None:
+        seed = require_int(seed, "scene: seed", 0)
+    context = context_from_json(data, where="scene")
     if context.truncation_order < order + 3:
         raise SceneError(
             f"scene: truncation order {context.truncation_order} too small for "
             f"order {order} (need truncation_order >= order + 3)")
     metric = metric_from_json(context, data["metric"])
-    lame = lame_from_json(context, data["lambda"], data["mu"])
+    lame = lame_from_json(context, data["lambda"], data["mu"], "scene")
     unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise SceneError(f"scene: unknown tolerance keys {sorted(unknown)}")
     return SceneConfig(
-        dimension=n,
+        dimension=context.dimension,
         truncation_order=context.truncation_order,
         base_covector=context.base_covector,
         metric=metric,

@@ -14,6 +14,7 @@ from .scenes import (
     jet_from_map,
     jet_to_map,
     lame_from_json,
+    require_int,
 )
 from .symbols import SymbolLevels
 
@@ -40,12 +41,8 @@ def _accuracy_map(data: dict, chart: JetContext, where: str) -> dict:
     accuracy = data.get("accuracy", {})
     if not isinstance(accuracy, dict):
         raise SceneError(f"{where}: accuracy must be an object")
-    K = chart.truncation_order
     for key, value in accuracy.items():
-        if (isinstance(value, bool) or not isinstance(value, int)
-                or not 0 <= value <= K):
-            raise SceneError(f"{where}: accuracy {key!r} must be an integer "
-                             f"in 0..{K}, got {value!r}")
+        require_int(value, f"{where}: accuracy {key!r}", 0, chart.truncation_order)
     return accuracy
 
 
@@ -73,7 +70,7 @@ def observed_from_json(data: dict) -> ObservedSymbols:
     for key in ("levels", "lame"):
         if not isinstance(data[key], dict):
             raise SceneError(f"symbols document: {key} must be an object")
-    chart = context_from_json(data["chart"])
+    chart = context_from_json(data["chart"], "symbols document: chart")
     accuracy = _accuracy_map(data, chart, "symbols document")
     levels = {}
     for key, block in data["levels"].items():
@@ -90,7 +87,8 @@ def observed_from_json(data: dict) -> ObservedSymbols:
     lame_doc = data["lame"]
     if "lambda" not in lame_doc or "mu" not in lame_doc:
         raise SceneError("symbols document: lame block needs 'lambda' and 'mu'")
-    lame = lame_from_json(chart, lame_doc["lambda"], lame_doc["mu"])
+    lame = lame_from_json(chart, lame_doc["lambda"], lame_doc["mu"],
+                          "symbols document")
     return ObservedSymbols(parsed, lame, chart)
 
 
@@ -131,7 +129,7 @@ def recovered_from_json(data: dict) -> RecoveredBoundaryData:
     for key in ("chart", "g_inv"):
         if key not in data:
             raise SceneError(f"recovered document: missing key {key!r}")
-    chart = context_from_json(data["chart"])
+    chart = context_from_json(data["chart"], "recovered document: chart")
     nn = chart.dimension - 1
     accuracy = _accuracy_map(data, chart, "recovered document")
 

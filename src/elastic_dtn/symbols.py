@@ -110,8 +110,7 @@ class SymbolLevels:
 def factorization(ginv: JetMatrix, lame: LameJet,
                   chart: JetContext) -> Factorization:
     """Factorization data from the inverse metric (its tangential block)."""
-    n = chart.dimension
-    nn = n - 1
+    nn = chart.dimension - 1
     lam, mu = lame.lam, lame.mu
 
     xi_down = tuple(Jet.xi_component(chart, a) for a in range(nn))
@@ -125,18 +124,13 @@ def factorization(ginv: JetMatrix, lame: LameJet,
     inv_norm = reciprocal(norm)
     s2 = (lam + mu) * lame.inv_l3m
 
-    f1 = JetMatrix.zeros(chart, n, n)
-    f2 = JetMatrix.zeros(chart, n, n)
-    for a in range(nn):
-        for b in range(nn):
-            f1.entries[a][b] = inv_norm * xi_up[a] * xi_down[b]
-            f2.entries[a][b] = f1.entries[a][b]
-        f1.entries[a][nn] = 1j * xi_up[a]
-        f1.entries[nn][a] = 1j * xi_down[a]
-        f2.entries[a][nn] = -1j * (lam + 2 * mu) * lame.inv_mu * xi_up[a]
-        f2.entries[nn][a] = -1j * mu * lame.inv_l2m * xi_down[a]
-    f1.entries[nn][nn] = -norm
-    f2.entries[nn][nn] = -norm
+    outer = [[inv_norm * xi_up[a] * xi_down[b] for b in range(nn)]
+             for a in range(nn)]
+    f1 = JetMatrix(chart, [outer[a] + [1j * xi_up[a]] for a in range(nn)]
+                   + [[1j * x for x in xi_down] + [-norm]])
+    f2 = JetMatrix(chart, [outer[a] + [-1j * (lam + 2 * mu) * lame.inv_mu * xi_up[a]]
+                           for a in range(nn)]
+                   + [[-1j * mu * lame.inv_l2m * x for x in xi_down] + [-norm]])
     return Factorization(chart, lame, xi_down, xi_up, norm_sq, norm, inv_norm,
                          s2, f1, f2)
 
@@ -155,21 +149,20 @@ def build_context(metric: MetricJet, lame: LameJet,
     fac = factorization(geo.ginv, lame, chart)
     xi_down, xi_up, norm_sq = fac.xi_down, fac.xi_up, fac.norm_sq
 
+    zero = Jet.zero(chart)
+
     # first-order block, degree-one part
-    b1 = JetMatrix.zeros(chart, n, n)
-    for a in range(nn):
-        b1.entries[a][nn] = 1j * (lam + mu) * inv_mu * xi_up[a]
-        b1.entries[nn][a] = 1j * (lam + mu) * inv_l2m * xi_down[a]
+    b1 = JetMatrix(chart, [[zero] * nn + [1j * (lam + mu) * inv_mu * xi_up[a]]
+                           for a in range(nn)]
+                   + [[1j * (lam + mu) * inv_l2m * x for x in xi_down] + [zero]])
 
     # tangential block, degree-two part
-    c2 = JetMatrix.zeros(chart, n, n)
+    c2 = []
     for a in range(nn):
-        for b in range(nn):
-            entry = -(lam + mu) * inv_mu * xi_up[a] * xi_down[b]
-            if a == b:
-                entry = entry - norm_sq
-            c2.entries[a][b] = entry
-    c2.entries[nn][nn] = -mu * inv_l2m * norm_sq
+        row = [-(lam + mu) * inv_mu * xi_up[a] * xi_down[b] for b in range(nn)]
+        row[a] = row[a] - norm_sq
+        c2.append(row + [zero])
+    c2.append([zero] * nn + [-mu * inv_l2m * norm_sq])
 
     # tangential block, degree-one part
     scalar = Jet.zero(chart)
@@ -179,34 +172,33 @@ def build_context(metric: MetricJet, lame: LameJet,
     for a in range(nn):
         xi_grad_mu = xi_grad_mu + xi_down[a] * grad_mu[a]
 
-    c1 = JetMatrix.zeros(chart, n, n)
-    for a in range(nn):
-        for b in range(nn):
-            entry = 1j * (lam + mu) * inv_mu * xi_up[a] * trace[b]
+    def c1_entry(a: int, b: int) -> Jet:
+        if a == nn and b == nn:
+            return 1j * mu * inv_l2m * scalar + 1j * inv_l2m * xi_grad_mu
+        if a == nn:
+            entry = Jet.zero(chart)
             for c in range(nn):
-                entry = entry + 2j * xi_up[c] * gamma[a, c, b]
-            entry = entry + 1j * inv_mu * (xi_down[b] * grad_lam[a]
-                                           + xi_up[a] * mu.dx(b))
-            if a == b:
-                entry = entry + 1j * scalar + 1j * inv_mu * xi_grad_mu
-            c1.entries[a][b] = entry
-        entry = 1j * (lam + mu) * inv_mu * trace[nn] * xi_up[a]
+                entry = entry + 2j * mu * inv_l2m * xi_up[c] * gamma[nn, c, b]
+            return entry + 1j * inv_l2m * lam.dn() * xi_down[b]
+        if b == nn:
+            entry = 1j * (lam + mu) * inv_mu * trace[nn] * xi_up[a]
+            for c in range(nn):
+                entry = entry + 2j * xi_up[c] * gamma[a, c, nn]
+            return entry + 1j * inv_mu * mu.dn() * xi_up[a]
+        entry = 1j * (lam + mu) * inv_mu * xi_up[a] * trace[b]
         for c in range(nn):
-            entry = entry + 2j * xi_up[c] * gamma[a, c, nn]
-        entry = entry + 1j * inv_mu * mu.dn() * xi_up[a]
-        c1.entries[a][nn] = entry
-    for b in range(nn):
-        entry = Jet.zero(chart)
-        for c in range(nn):
-            entry = entry + 2j * mu * inv_l2m * xi_up[c] * gamma[nn, c, b]
-        entry = entry + 1j * inv_l2m * lam.dn() * xi_down[b]
-        c1.entries[nn][b] = entry
-    c1.entries[nn][nn] = 1j * mu * inv_l2m * scalar \
-        + 1j * inv_l2m * xi_grad_mu
+            entry = entry + 2j * xi_up[c] * gamma[a, c, b]
+        entry = entry + 1j * inv_mu * (xi_down[b] * grad_lam[a]
+                                       + xi_up[a] * mu.dx(b))
+        if a == b:
+            entry = entry + 1j * scalar + 1j * inv_mu * xi_grad_mu
+        return entry
 
     return SymbolContext(
         **vars(fac), geo=geo, lead=leading_coefficient(lame, chart),
-        b1=b1, b0=normal_multiplier_matrix(geo, lame), c2=c2, c1=c1,
+        b1=b1, b0=normal_multiplier_matrix(geo, lame), c2=JetMatrix(chart, c2),
+        c1=JetMatrix(chart, [[c1_entry(a, b) for b in range(n)]
+                             for a in range(n)]),
         c0=zeroth_order_matrix(geo, lame))
 
 
@@ -341,31 +333,26 @@ def solve_q(E: JetMatrix, ctx: SymbolContext) -> JetMatrix:
 def p1_matrix(ctx: SymbolContext) -> JetMatrix:
     """Principal boundary symbol in closed form."""
     chart = ctx.chart
-    n = chart.dimension
-    nn = n - 1
+    nn = chart.dimension - 1
     lam, mu = ctx.lame.lam, ctx.lame.mu
     inv_l3m = ctx.lame.inv_l3m
-    out = JetMatrix.zeros(chart, n, n)
+    rows = []
     for a in range(nn):
-        for b in range(nn):
-            entry = mu * (lam + mu) * inv_l3m * ctx.inv_norm \
-                * ctx.xi_up[a] * ctx.xi_down[b]
-            if a == b:
-                entry = entry + mu * ctx.norm
-            out.entries[a][b] = entry
-        out.entries[a][nn] = -2j * mu * mu * inv_l3m * ctx.xi_up[a]
-        out.entries[nn][a] = 2j * mu * mu * inv_l3m * ctx.xi_down[a]
-    out.entries[nn][nn] = 2 * mu * (lam + 2 * mu) * inv_l3m * ctx.norm
-    return out
+        row = [mu * (lam + mu) * inv_l3m * ctx.inv_norm * ctx.xi_up[a] * x
+               for x in ctx.xi_down]
+        row[a] = row[a] + mu * ctx.norm
+        rows.append(row + [-2j * mu * mu * inv_l3m * ctx.xi_up[a]])
+    rows.append([2j * mu * mu * inv_l3m * x for x in ctx.xi_down]
+                + [2 * mu * (lam + 2 * mu) * inv_l3m * ctx.norm])
+    return JetMatrix(chart, rows)
 
 
 def _gamma_correction(ctx: SymbolContext) -> JetMatrix:
     """Connection-trace correction entering the degree-zero boundary level."""
     n = ctx.chart.dimension
-    out = JetMatrix.zeros(ctx.chart, n, n)
-    for b in range(n):
-        out.entries[n - 1][b] = ctx.lame.lam * ctx.geo.trace[b]
-    return out
+    zero = Jet.zero(ctx.chart)
+    return JetMatrix(ctx.chart, [[zero] * n] * (n - 1)
+                     + [[ctx.lame.lam * t for t in ctx.geo.trace]])
 
 
 def q_levels(ctx: SymbolContext, depth: int) -> SymbolLevels:

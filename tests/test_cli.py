@@ -4,7 +4,7 @@ import pytest
 
 from elastic_dtn import jets
 from elastic_dtn.cli import main
-from elastic_dtn.scenes import SceneError, canonical_json
+from elastic_dtn.scenes import SceneError, canonical_json, random_scene, scene_to_json
 from elastic_dtn.serialize import observed_from_json, recovered_from_json
 
 
@@ -306,7 +306,7 @@ def test_recovered_loader_rejects_malformed_blocks(tmp_path, mutate, needle):
 
 @pytest.mark.parametrize("command", ["forward", "recover", "roundtrip", "verify"])
 def test_degenerate_lame_is_an_input_error(tmp_path, capsys, command):
-    # mu > 0 passes the admissibility check, but 1/mu is not a usable jet
+    # mu > 0, but 1/mu is not a usable jet
     cfg = write_scene(tmp_path / "scene.json", mu=1e-13)
     sym = tmp_path / "symbols.json"
     good = write_scene(tmp_path / "good.json")
@@ -319,5 +319,78 @@ def test_degenerate_lame_is_an_input_error(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([command, *source, "--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err.splitlines()
+    where = "symbols document" if command == "recover" else "scene"
     assert [line for line in err if line.startswith("error:")] == [
-        "error: jet not invertible: constant term vanishes"]
+        f"error: {where}: inadmissible material coefficients: require mu > 0 "
+        "and lambda + mu >= 0 at the base point, with mu above 1e-12 "
+        "(got mu=1e-13, lambda+mu=1)"]
+
+
+def _error_lines(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dimension", 2.9), ("truncation_order", 6.7), ("order", 2.5),
+    ("order", True), ("seed", 1.5)])
+def test_scene_integer_fields_must_be_integers(tmp_path, capsys, field, value):
+    cfg = write_scene(tmp_path / "scene.json", extra={field: value})
+    low = {"dimension": 2, "truncation_order": 2}.get(field, 0)
+    assert main(["forward", "--config", str(cfg),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert _error_lines(capsys) == [
+        f"error: scene: {field} must be an integer >= {low}, got {value!r}"]
+
+
+@pytest.mark.parametrize("document", ["symbols", "recovered"])
+@pytest.mark.parametrize("field", ["dimension", "truncation_order"])
+def test_chart_fields_must_be_integers(tmp_path, capsys, document, field):
+    cfg = write_scene(tmp_path / "scene.json", metric=curved_metric(), order=1)
+    sym, rec = tmp_path / "s.json", tmp_path / "r.json"
+    main(["forward", "--config", str(cfg), "--out", str(sym)])
+    main(["recover", "--symbols", str(sym), "--order", "1", "--out", str(rec)])
+    path = sym if document == "symbols" else rec
+    doc = json.loads(path.read_text())
+    doc["chart"][field] = float(doc["chart"][field])
+    path.write_text(json.dumps(doc))
+    needle = (f"{document} document: chart: {field} must be an integer >= 2, "
+              f"got {doc['chart'][field]!r}")
+    if document == "recovered":
+        with pytest.raises(SceneError, match=needle):
+            recovered_from_json(doc)
+        return
+    capsys.readouterr()
+    assert main(["recover", "--symbols", str(sym), "--order", "1",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert _error_lines(capsys) == [f"error: {needle}"]
+
+
+@pytest.mark.parametrize("source, order, code", [
+    ("scene", 0, 2), ("scene", 3, 2), ("symbols", 0, 4), ("symbols", 3, 4)])
+def test_overflowing_input_is_refused_without_a_document(tmp_path, capsys,
+                                                         source, order, code):
+    # finite inputs whose arithmetic overflows: mat_inverse refuses the
+    # scene (exit 2), a consistency gate refuses the levels (exit 4)
+    scene = scene_to_json(random_scene(1, dimension=2, truncation_order=6,
+                                       order=3))
+    cfg, sym = tmp_path / "scene.json", tmp_path / "symbols.json"
+    cfg.write_text(json.dumps(scene))
+    assert main(["forward", "--config", str(cfg), "--out", str(sym)]) == 0
+    if source == "scene":
+        scene["metric"]["1,1"]["1 0 0"] = 1e300
+        cfg.write_text(json.dumps(scene))
+        argv = ["roundtrip", "--config", str(cfg)]
+    else:
+        doc = json.loads(sym.read_text())
+        for value in doc["levels"]["1"][1][1].values():
+            value[0] *= 1e300
+            value[1] *= 1e300
+        sym.write_text(json.dumps(doc))
+        argv = ["recover", "--symbols", str(sym)]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--order", str(order), "--out", str(out)]) == code
+    assert len(_error_lines(capsys)) == 1
+    assert not out.exists()

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from elastic_dtn import jets
 from elastic_dtn import (
     AccuracyExhausted,
     ContextMismatch,
@@ -144,6 +145,84 @@ def test_truncated_product_matches_full_kernel(n, K, xi0):
                 assert np.array_equal(prod.coeffs, _full_product(a, b)[:size])
 
 
+def _matrix_operand(ctx, rng, rows, cols, kind):
+    """Full-accuracy entries: dense, all constant, or zero/constant/dense mixed."""
+    K = ctx.truncation_order
+
+    def entry(i, j):
+        pick = "dense" if kind == "dense" else "const" if kind == "const" \
+            else ("zero", "const", "dense")[(i + 2 * j) % 3]
+        if pick == "zero":
+            return Jet.zero(ctx)
+        if pick == "const":
+            return Jet.constant(ctx, complex(*rng.uniform(-1, 1, size=2)))
+        return random_jet(ctx, rng, degree=K)
+
+    return [[entry(i, j) for j in range(cols)] for i in range(rows)]
+
+
+def _lowered(ctx, entries, acc):
+    """A matrix trusted to ``acc``, built from entries of several accuracies."""
+    K = ctx.truncation_order
+    return JetMatrix(ctx, [[e.with_accuracy(acc if (i + j) % 2 == 0 else K)
+                            for j, e in enumerate(row)]
+                           for i, row in enumerate(entries)])
+
+
+@pytest.mark.parametrize("r,c,s", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 3, 1)])
+@pytest.mark.parametrize("kinds", [
+    pytest.param(kinds, id="-".join(kinds)) for kinds in (
+        ("dense", "dense"), ("mixed", "dense"), ("dense", "mixed"),
+        ("const", "mixed"), ("mixed", "const"))])
+def test_matrix_products_match_entrywise_reference(r, c, s, kinds):
+    # the reference is the entry-by-entry loop over full-table products, k
+    # terms added in order, cut to the trusted prefix
+    ctx = make_context(n=3, K=5, xi0=(0.7, -1.1))
+    K = ctx.truncation_order
+    rng = np.random.default_rng(100 * r + s)
+    left = _matrix_operand(ctx, rng, r, c, kinds[0])
+    right = _matrix_operand(ctx, rng, c, s, kinds[1])
+    scale = random_jet(ctx, rng, degree=K) if kinds[1] == "dense" \
+        else Jet.constant(ctx, 0.3 - 0.2j)
+    for acc in (0, 1, K - 3, K):
+        size = ctx.sizes[acc]
+        a = _lowered(ctx, left, acc)
+        assert a.accuracy == acc and a.coeffs.shape == (r, c, size)
+        for prod in (a @ _lowered(ctx, right, K), _lowered(ctx, left, K)
+                     @ _lowered(ctx, right, acc)):
+            assert prod.accuracy == acc and prod.coeffs.shape == (r, s, size)
+            for i in range(r):
+                for j in range(s):
+                    expected = _full_product(left[i][0], right[0][j])
+                    for k in range(1, c):
+                        expected = expected + _full_product(left[i][k],
+                                                            right[k][j])
+                    assert np.array_equal(prod[i, j].coeffs, expected[:size])
+        for scaled in (a * scale, _lowered(ctx, left, K) * scale.with_accuracy(acc)):
+            assert scaled.accuracy == acc
+            for i in range(r):
+                for j in range(c):
+                    assert np.array_equal(scaled[i, j].coeffs,
+                                          _full_product(left[i][j], scale)[:size])
+
+
+def test_matrix_entries_are_read_only_views():
+    ctx = make_context(n=2, K=4)
+    rng = np.random.default_rng(9)
+    m = JetMatrix(ctx, [[random_jet(ctx, rng), Jet.x_var(ctx, 0)],
+                        [Jet.constant(ctx, 2.0), random_jet(ctx, rng)]])
+    entry = m[0, 1]
+    assert np.shares_memory(entry.coeffs, m.coeffs)
+    for coeffs in (m.coeffs, entry.coeffs, (m @ m).coeffs, (m * entry).coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[..., 0] = 1.0
+    # a number added to a matrix would have to mean a multiple of the
+    # identity, not an entrywise sum, so neither is offered
+    for combine in (lambda: m + 1.0, lambda: 1.0 - m):
+        with pytest.raises(TypeError):
+            combine()
+
+
 def test_products_in_threads_match_serial_products():
     # contexts of one shape share product plans; each thread has its own
     # gather buffers
@@ -181,9 +260,10 @@ def test_inverses_hold_zeros_above_accuracy():
     for out in (reciprocal(a), sqrt(a)):
         assert out.accuracy == acc and len(out.coeffs) == size
     m = JetMatrix(ctx, [[a, 0.3 * a], [0.2 * a, a + 1.0]])
-    for row in mat_inverse(m).entries:
-        for e in row:
-            assert e.accuracy == acc and len(e.coeffs) == size
+    inv = mat_inverse(m)
+    for i in range(2):
+        for j in range(2):
+            assert inv[i, j].accuracy == acc and len(inv[i, j].coeffs) == size
 
 
 def test_reciprocal_against_oracle_and_roundtrip():
@@ -399,3 +479,22 @@ def test_multiindex_ordering_and_factorial():
     assert a < b  # graded ordering puts lower degree first
     assert MultiIndex((0, 1, 1)) < MultiIndex((1, 0, 1))  # lex within a degree
     assert MultiIndex((3, 2, 0)).factorial() == math.factorial(3) * 2
+
+
+def test_matrix_products_keep_two_tables_of_gather_memory():
+    # a full-accuracy 4x4 product gathers 24 values per table pair; it runs
+    # in chunks of whole targets inside the buffer of two tables
+    ctx = make_context(n=3, K=5, xi0=(0.7, -1.1))
+    rng = np.random.default_rng(5)
+    m = JetMatrix(ctx, [[random_jet(ctx, rng, degree=5) for _ in range(4)]
+                        for _ in range(4)])
+    sizes = []
+
+    def work():
+        m @ m, m * m[0, 0], m[0, 0] * m[1, 1]
+        sizes.extend(b.size for b in jets._PRODUCT_PLANS.buffers.values())
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join()
+    assert sizes == [2 * len(ctx.mul_table()[0])]

@@ -66,8 +66,8 @@ def test_scene_validation_errors():
         ({"order": 9}, "truncation order"),
         ({"tolerances": {"bogus": 1.0}}, "unknown tolerance"),
         ({"mu": {"0 0 0": -2.0}}, "mu > 0"),
-        ({"order": float("inf")}, "infinity"),
-        ({"seed": "x"}, "invalid literal"),
+        ({"order": float("inf")}, "order must be an integer"),
+        ({"seed": "x"}, "seed must be an integer"),
         ({"tolerances": {"roundtrip": float("nan")}}, "must be finite"),
         ({"tolerances": {"roundtrip": "x"}}, "could not convert"),
         ({"lambda": {"0 0 0": 10 ** 400}}, "finite number"),
@@ -76,6 +76,19 @@ def test_scene_validation_errors():
         doc.update(mutation)
         with pytest.raises(SceneError, match=needle):
             scene_from_json(doc)
+
+
+def test_loaded_jets_own_exactly_their_trusted_coefficients():
+    ctx = JetContext(3, 7, (0.8, -1.2))
+    data = {"0 0 0 0 0": 1.0, "1 0 0 0 0": 2.0, "0 0 0 0 3": 0.5,
+            "0 4 0 0 0": [1.0, -1.0], "2 2 1 1 1": 0.25}
+    for acc in (0, 1, 4, 7):
+        for jet in (jet_from_map(ctx, data, accuracy=acc),
+                    Jet.constant(ctx, 2.0, acc)):
+            assert jet.accuracy == acc and len(jet.coeffs) == ctx.sizes[acc]
+            assert jet.coeffs.base is None  # not a view of a longer vector
+        assert jet_from_map(ctx, data, accuracy=acc).allclose(
+            jet_from_map(ctx, data), tol=0)
 
 
 def test_load_scene_missing_file(tmp_path):
