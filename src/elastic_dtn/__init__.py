@@ -10,7 +10,6 @@ from .geometry import (
     ChristoffelField,
     LameJet,
     MetricJet,
-    VectorFieldJet,
     apply_decomposition,
     assemble_full_metric,
     christoffel,
@@ -71,7 +70,6 @@ __all__ = [
     "SceneError",
     "SymbolContext",
     "SymbolLevels",
-    "VectorFieldJet",
     "apply_decomposition",
     "assemble_full_metric",
     "build_E",

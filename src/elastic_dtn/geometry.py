@@ -34,52 +34,46 @@ _REALITY_TOL = 1e-12
 _EIGEN_TOL = 1e-10
 
 
-def _require_real_spatial(jet: Jet, what: str) -> Jet:
-    if jet.max_imag() > _REALITY_TOL:
+def _require_real_spatial(jets, what: str):
+    """The real part of a jet or matrix of jets, which must not depend on xi."""
+    if jets.max_imag() > _REALITY_TOL:
         raise ValueError(f"{what} must be real")
-    if jet.depends_on_xi():
+    if jets.depends_on_xi():
         raise ValueError(f"{what} must not depend on the cotangent variables")
-    return jet.real_part()
+    return jets.real_part()
 
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Tangential metric block g_{alpha beta}(x) as real jets."""
+    """Tangential metric block g_{alpha beta}(x): one real, symmetric JetMatrix."""
 
     context: JetContext
-    entries: tuple
+    _block: JetMatrix
 
     def __init__(self, context: JetContext, entries):
         n = context.dimension
         rows = [list(r) for r in entries]
         if len(rows) != n - 1 or any(len(r) != n - 1 for r in rows):
             raise ValueError(f"metric block must be {n - 1}x{n - 1}")
-        for a in range(n - 1):
-            for b in range(n - 1):
-                rows[a][b] = _require_real_spatial(rows[a][b], "metric entry")
-        for a in range(n - 1):
-            for b in range(a + 1, n - 1):
-                if not rows[a][b].allclose(rows[b][a], tol=_REALITY_TOL):
-                    raise ValueError(f"metric block not symmetric at ({a},{b})")
-                sym = (rows[a][b] + rows[b][a]) * 0.5
-                rows[a][b] = sym
-                rows[b][a] = sym
-        const = np.array([[e.constant_term.real for e in row] for row in rows])
-        if np.min(np.linalg.eigvalsh(const)) <= _EIGEN_TOL:
+        block = _require_real_spatial(JetMatrix(context, rows), "metric entry")
+        gap = np.abs((block - block.transpose()).coeffs)
+        unequal = np.argwhere(np.triu(~np.all(gap <= _REALITY_TOL, axis=-1), 1))
+        if len(unequal):
+            a, b = unequal[0]
+            raise ValueError(f"metric block not symmetric at ({a},{b})")
+        block = block.symmetrized()
+        # written so that NaN, from an overflowing mean, fails it
+        if not np.min(np.linalg.eigvalsh(block.coeffs[:, :, 0].real)) > _EIGEN_TOL:
             raise ValueError("metric block must be positive definite at the base point")
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "_block", block)
 
     @classmethod
     def euclidean(cls, context: JetContext) -> "MetricJet":
-        n = context.dimension
-        one = Jet.constant(context, 1.0)
-        zero = Jet.zero(context)
-        return cls(context, [[one if a == b else zero for b in range(n - 1)]
-                             for a in range(n - 1)])
+        return cls(context, JetMatrix.identity(context, context.dimension - 1))
 
     def tangential_matrix(self) -> JetMatrix:
-        return JetMatrix(self.context, self.entries)
+        return self._block
 
 
 @dataclass(frozen=True)
@@ -138,51 +132,12 @@ class ChristoffelField:
         return self.symbols[j][k][l]
 
 
-@dataclass(frozen=True)
-class VectorFieldJet:
-    components: tuple
-
-    def __init__(self, components):
-        components = tuple(components)
-        ctx = components[0].context
-        for c in components[1:]:
-            if c.context is not ctx and not c.context.compatible_with(ctx):
-                raise ValueError("vector components on incompatible contexts")
-        if len(components) != ctx.dimension:
-            raise ValueError("vector field needs one component per dimension")
-        object.__setattr__(self, "components", components)
-
-    @property
-    def context(self) -> JetContext:
-        return self.components[0].context
-
-    @property
-    def accuracy(self) -> int:
-        return min(c.accuracy for c in self.components)
-
-    def __add__(self, other: "VectorFieldJet") -> "VectorFieldJet":
-        return VectorFieldJet([a + b for a, b in
-                               zip(self.components, other.components)])
-
-    def __sub__(self, other: "VectorFieldJet") -> "VectorFieldJet":
-        return VectorFieldJet([a - b for a, b in
-                               zip(self.components, other.components)])
-
-    def allclose(self, other: "VectorFieldJet", tol: float = 1e-12) -> bool:
-        return all(a.allclose(b, tol) for a, b in
-                   zip(self.components, other.components))
-
-    def max_abs(self) -> float:
-        return max(c.max_abs() for c in self.components)
-
-
 def assemble_full_metric(metric: MetricJet) -> JetMatrix:
     """Embed the tangential block: unit normal entry, no mixed entries."""
-    ctx = metric.context
-    zero = Jet.zero(ctx)
-    rows = [list(row) + [zero] for row in metric.entries]
-    rows.append([zero] * len(metric.entries) + [Jet.constant(ctx, 1.0)])
-    return JetMatrix(ctx, rows)
+    block = metric.tangential_matrix()
+    full = np.pad(block.coeffs, ((0, 1), (0, 1), (0, 0)))
+    full[-1, -1, 0] = 1.0
+    return JetMatrix._wrap(metric.context, full, block.accuracy)
 
 
 def tangential_block(full: JetMatrix) -> JetMatrix:
@@ -273,12 +228,14 @@ def prepare(metric: MetricJet) -> _Geometry:
     return _Geometry(g, ginv, christoffel(g, ginv))
 
 
-def _check_vector(u: VectorFieldJet) -> None:
+def _check_vector(u: JetMatrix) -> None:
+    if u.cols != 1 or u.rows != u.context.dimension:
+        raise ValueError("vector field needs one component per dimension")
     if u.accuracy < 2:
         raise AccuracyExhausted("vector field accuracy below 2")
 
 
-def lame_apply(u: VectorFieldJet, metric: MetricJet, lame: LameJet) -> VectorFieldJet:
+def lame_apply(u: JetMatrix, metric: MetricJet, lame: LameJet) -> JetMatrix:
     """Apply the isotropic elastic operator assembled covariantly.
 
     Components: mu * (Bochner Laplacian) + (lambda+mu) * grad div
@@ -291,7 +248,7 @@ def lame_apply(u: VectorFieldJet, metric: MetricJet, lame: LameJet) -> VectorFie
     n = ctx.dimension
     g, ginv, gamma = geo.g, geo.ginv, geo.gamma
     lam, mu = lame.lam, lame.mu
-    comps = u.components
+    comps = [u[j, 0] for j in range(n)]
 
     # nabla_k u^j
     cov = [[comps[j].dx(k) for k in range(n)] for j in range(n)]
@@ -357,7 +314,7 @@ def lame_apply(u: VectorFieldJet, metric: MetricJet, lame: LameJet) -> VectorFie
         for k in range(n):
             term = term + strain[j][k] * grad_mu[k]
         out.append(term)
-    return VectorFieldJet(out)
+    return JetMatrix.column(ctx, out)
 
 
 # -- the normal-direction second-order system ---------------------------
@@ -438,15 +395,15 @@ def zeroth_order_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
     return JetMatrix(ctx, [[entry(a, b) for b in range(n)] for a in range(n)])
 
 
-def apply_B(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
-    """First-order coefficient block applied to a vector of jets."""
+def apply_B(v: JetMatrix, geo: _Geometry, lame: LameJet) -> JetMatrix:
+    """First-order coefficient block applied to a column of jets."""
     ctx = v.context
     n = ctx.dimension
     nn = n - 1
     ginv = geo.ginv
     lam, mu = lame.lam, lame.mu
     inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
-    comps = v.components
+    comps = [v[j, 0] for j in range(n)]
 
     out = []
     for a in range(nn):
@@ -463,11 +420,11 @@ def apply_B(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
     for j in range(n):
         for k in range(n):
             out[j] = out[j] + mult[j, k] * comps[k]
-    return VectorFieldJet(out)
+    return JetMatrix.column(ctx, out)
 
 
-def apply_C(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
-    """Tangential block (second, first and zeroth order) applied to a vector."""
+def apply_C(v: JetMatrix, geo: _Geometry, lame: LameJet) -> JetMatrix:
+    """Tangential block (second, first and zeroth order) applied to a column."""
     ctx = v.context
     n = ctx.dimension
     nn = n - 1
@@ -477,7 +434,7 @@ def apply_C(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
     s_ratio = (lam + mu) * inv_mu
     grad_lam = geo.raised_gradient(lam)
     grad_mu = geo.raised_gradient(mu)
-    comps = v.components
+    comps = [v[j, 0] for j in range(n)]
 
     def tangential_laplace(f: Jet) -> Jet:
         acc = Jet.zero(ctx)
@@ -540,11 +497,11 @@ def apply_C(v: VectorFieldJet, geo: _Geometry, lame: LameJet) -> VectorFieldJet:
     for j in range(n):
         for k in range(n):
             out[j] = out[j] + mult[j, k] * comps[k]
-    return VectorFieldJet(out)
+    return JetMatrix.column(ctx, out)
 
 
-def apply_decomposition(u: VectorFieldJet, metric: MetricJet,
-                        lame: LameJet) -> VectorFieldJet:
+def apply_decomposition(u: JetMatrix, metric: MetricJet,
+                        lame: LameJet) -> JetMatrix:
     """Normal second derivative plus the first/zeroth-order blocks.
 
     Multiplying ``lame_apply`` by the inverse leading coefficient must
@@ -552,10 +509,5 @@ def apply_decomposition(u: VectorFieldJet, metric: MetricJet,
     """
     _check_vector(u)
     geo = prepare(metric)
-    nidx = u.context.normal_index
-    du = VectorFieldJet([c.partial(nidx) for c in u.components])
-    d2u = VectorFieldJet([c.partial(nidx) for c in du.components])
-    first = apply_B(du, geo, lame)
-    zero = apply_C(u, geo, lame)
-    return VectorFieldJet([a + b + c for a, b, c in
-                           zip(d2u.components, first.components, zero.components)])
+    du = u.dn()
+    return du.dn() + apply_B(du, geo, lame) + apply_C(u, geo, lame)

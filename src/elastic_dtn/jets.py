@@ -23,8 +23,10 @@ multi-index view.
 
 A :class:`JetMatrix` is one read-only array of shape (rows, cols,
 ``sizes[A]``) with one accuracy A; ``m[i, j]`` is a read-only :class:`Jet`
-view.  Jets and matrices share the arithmetic over the last axis, and one
-product kernel serves every jet product, scaling and matrix product.
+view and ``m[i]`` a row of them.  Every block of jets in the package is a
+``JetMatrix``, vector fields included (as columns).  Jets and matrices
+share the arithmetic over the last axis, and one product kernel serves
+every jet product, scaling and matrix product.
 """
 
 from __future__ import annotations
@@ -510,6 +512,10 @@ class _JetArray:
         return self._masked(
             self._exponents()[:, self.context.dimension:].sum(axis=1) == 0)
 
+    def depends_on_xi(self, tol: float = ZERO_COEFF_TOL) -> bool:
+        xi_mask = self._exponents()[:, self.context.dimension:].sum(axis=1) > 0
+        return bool(np.any(np.abs(np.where(xi_mask, self.coeffs, 0.0)) > tol))
+
     def x_degree_cap(self, bound: int):
         """Zero every monomial whose x-degree exceeds ``bound``.
 
@@ -639,10 +645,6 @@ class Jet(_JetArray):
             out[ctx._index[reduced]] += v * factor
         return Jet(ctx, out, self.accuracy)
 
-    def depends_on_xi(self, tol: float = ZERO_COEFF_TOL) -> bool:
-        xi_mask = self._exponents()[:, self.context.dimension:].sum(axis=1) > 0
-        return bool(np.any(np.abs(np.where(xi_mask, self.coeffs, 0.0)) > tol))
-
     def __repr__(self):
         terms = []
         for m, v in list(self.coefficients(tol=ZERO_COEFF_TOL).items())[:6]:
@@ -735,8 +737,13 @@ class JetMatrix(_JetArray):
     def cols(self) -> int:
         return self.coeffs.shape[1]
 
-    def __getitem__(self, key) -> Jet:
-        i, j = key
+    def __getitem__(self, key):
+        """``m[i, j]`` is an entry; ``m[i]`` is row i, a tuple of entries."""
+        try:
+            i, j = key
+        except TypeError:  # an int: entry reads stay free of the check
+            return tuple(Jet._wrap(self.context, c, self.accuracy)
+                         for c in self.coeffs[key])
         return Jet._wrap(self.context, self.coeffs[i, j], self.accuracy)
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
@@ -753,9 +760,21 @@ class JetMatrix(_JetArray):
             out += _product(ctx, a[:, k:k + 1], b[k:k + 1], acc)
         return self._wrap(ctx, out, acc)
 
+    def transpose(self) -> "JetMatrix":
+        return self._wrap(self.context, self.coeffs.transpose(1, 0, 2),
+                          self.accuracy)
+
     def conjugate_transpose(self) -> "JetMatrix":
         return self._wrap(self.context, np.conj(self.coeffs).transpose(1, 0, 2),
                           self.accuracy)
+
+    def symmetrized(self) -> "JetMatrix":
+        """Each off-diagonal pair replaced by its mean; the diagonal kept as is."""
+        c = self.coeffs
+        mean = (c + c.transpose(1, 0, 2)) * 0.5
+        diag = np.arange(self.rows)
+        mean[diag, diag] = c[diag, diag]
+        return self._wrap(self.context, mean, self.accuracy)
 
     def __repr__(self):
         return f"JetMatrix({self.rows}x{self.cols}, accuracy={self.accuracy})"

@@ -85,40 +85,44 @@ class RecoveredBoundaryData:
     """Inverse tangential metric and its normal derivatives, order by order."""
 
     context: JetContext
-    g_inv: tuple
-    normal_derivs: list = field(default_factory=list)
+    g_inv: JetMatrix
+    normal_derivs: list = field(default_factory=list)  # of JetMatrix
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         nn = self.context.dimension - 1
-        rows = [list(r) for r in self.g_inv]
-        if len(rows) != nn or any(len(r) != nn for r in rows):
+        g_inv = self.g_inv
+        if (g_inv.rows, g_inv.cols) != (nn, nn):
             raise ValueError(f"recovered block must be {nn}x{nn}")
-        for a in range(nn):
-            for b in range(a + 1, nn):
-                if not rows[a][b].allclose(rows[b][a], tol=1e-10):
-                    raise ValueError("recovered block must be symmetric")
-        const = np.array([[e.constant_term.real for e in row] for row in rows])
-        if np.min(np.linalg.eigvalsh(const)) <= 0:
+        if not g_inv.allclose(g_inv.transpose(), tol=1e-10):
+            raise ValueError("recovered block must be symmetric")
+        if not np.min(np.linalg.eigvalsh(g_inv.coeffs[:, :, 0].real)) > 0:
             raise ValueError("recovered block must be positive definite "
                              "at the base point")
 
 
-def _realify(jet: Jet, tol: float, where: str) -> tuple[Jet, float]:
-    worst = jet.max_imag()
-    if not worst <= tol:  # NaN fails every gate
+def _realify(block: JetMatrix, tol: float, where: str) -> tuple[JetMatrix, float]:
+    """The real part of ``block`` and its largest imaginary coefficient.
+
+    The first entry over ``tol``, in row-major order, fails the gate.
+    """
+    worst = np.max(np.abs(block.coeffs.imag), axis=-1)
+    failing = np.argwhere(~(worst <= tol))  # NaN fails every gate
+    if len(failing):
+        a, b = failing[0]
         raise ConsistencyError(
-            f"{where}: imaginary residual {worst:.3g} exceeds {tol:g}")
-    return jet.real_part(), worst
+            f"{where} ({a},{b}): imaginary residual {worst[a, b]:.3g} "
+            f"exceeds {tol:g}")
+    return block.real_part(), float(worst.max())
 
 
 def extract_quadratic(Q: Jet, tol: float = QUADRATICITY_TOL):
     """Read a quadratic form in the covector off a scalar jet.
 
-    Returns the symmetric coefficient block as tangential jets (the exact
-    half-Hessian in the offset variables) together with a diagnostics
-    dict; the residual after rebuilding the quadratic form must stay
-    below ``tol``, otherwise the input was not a quadratic form.
+    Returns the symmetric coefficient block as a matrix of tangential jets
+    (the exact half-Hessian in the offset variables) together with a
+    diagnostics dict; the residual after rebuilding the quadratic form must
+    stay below ``tol``, otherwise the input was not a quadratic form.
     """
     ctx = Q.context
     if Q.accuracy < 2:
@@ -140,7 +144,7 @@ def extract_quadratic(Q: Jet, tol: float = QUADRATICITY_TOL):
         raise ConsistencyError(
             f"observed level inconsistent with quadratic-form model "
             f"(residual {residual:.3g} > {tol:g})")
-    return block, {"quadraticity": residual}
+    return JetMatrix(ctx, block), {"quadraticity": residual}
 
 
 def extract_quadratic_sampled(Q: Jet):
@@ -166,7 +170,7 @@ def extract_quadratic_sampled(Q: Jet):
             off = (both - diag[a] - diag[b]) * 0.5
             block[a][b] = off
             block[b][a] = off
-    return block
+    return JetMatrix(ctx, block)
 
 
 def _principal_norm(obs: ObservedSymbols) -> Jet:
@@ -181,24 +185,16 @@ def _principal_norm(obs: ObservedSymbols) -> Jet:
 def recover_order0(obs: ObservedSymbols, quadraticity_tol: float = QUADRATICITY_TOL,
                    imaginary_tol: float = IMAGINARY_TOL):
     """Boundary inverse metric (with tangential jets) from the principal level."""
-    n = obs.chart.dimension
     norm_rec = _principal_norm(obs)
     if not norm_rec.constant_term.real > 0:
         raise ConsistencyError("recovered cotangent norm is not positive")
     norm_sq = norm_rec * norm_rec
     block, diag = extract_quadratic(norm_sq, tol=quadraticity_tol)
-    worst_imag = 0.0
-    out = [[None] * (n - 1) for _ in range(n - 1)]
-    for a in range(n - 1):
-        for b in range(n - 1):
-            out[a][b], imag = _realify(block[a][b], imaginary_tol,
-                                       f"inverse metric entry ({a},{b})")
-            worst_imag = max(worst_imag, imag)
-    const = np.array([[e.constant_term.real for e in row] for row in out])
-    if not np.min(np.linalg.eigvalsh(const)) > 0:
+    g_inv, diag["imaginary"] = _realify(block, imaginary_tol,
+                                        "inverse metric entry")
+    if not np.min(np.linalg.eigvalsh(g_inv.coeffs[:, :, 0].real)) > 0:
         raise ConsistencyError("recovered inverse metric is not positive definite")
-    diag["imaginary"] = worst_imag
-    return tuple(tuple(r) for r in out), diag
+    return g_inv, diag
 
 
 def lin_inverse(X: JetMatrix, ctx: Factorization) -> JetMatrix:
@@ -219,13 +215,13 @@ def _reference_metric(chart: JetContext, partial: RecoveredBoundaryData,
     trusted degree of the recovered data turns it into the exact polynomial
     that defines the reference chart.
     """
-    ginv = JetMatrix(chart, partial.g_inv).with_accuracy(accuracy)
+    ginv = partial.g_inv.with_accuracy(accuracy)
     for j in range(1, order):
         exps = [0] * chart.nvars
         exps[chart.normal_index] = j
         weight = Jet.from_coefficients(chart,
                                        {tuple(exps): 1.0 / math.factorial(j)})
-        deriv = JetMatrix(chart, partial.normal_derivs[j - 1])
+        deriv = partial.normal_derivs[j - 1]
         ginv = ginv + deriv.with_accuracy(accuracy) * weight
     return _metric_from_inverse(ginv)[1]
 
@@ -233,9 +229,7 @@ def _reference_metric(chart: JetContext, partial: RecoveredBoundaryData,
 def _metric_from_inverse(ginv: JetMatrix):
     """The inverse of a tangential block, raw and as a real metric."""
     g = mat_inverse(ginv)
-    real = g.real_part()
-    return g, MetricJet(g.context, [[real[a, b] for b in range(g.cols)]
-                                    for a in range(g.rows)])
+    return g, MetricJet(g.context, g.real_part())
 
 
 @dataclass(frozen=True)
@@ -250,12 +244,12 @@ class BoundaryFactorization(Factorization):
 
 
 def boundary_factorization(obs: ObservedSymbols,
-                           g_inv) -> BoundaryFactorization:
+                           g_inv: JetMatrix) -> BoundaryFactorization:
     """Factorization data on the boundary, from the order-0 inverse metric.
 
     Every peeling order reads the same data, so it is built once.
     """
-    g, metric = _metric_from_inverse(JetMatrix(obs.chart, g_inv))
+    g, metric = _metric_from_inverse(g_inv)
     lame_b = LameJet(obs.lame.lam.at_boundary(), obs.lame.mu.at_boundary())
     fac = factorization(mat_inverse(assemble_full_metric(metric)), lame_b,
                         obs.chart)
@@ -269,8 +263,7 @@ def _peeling_trust(partial: RecoveredBoundaryData, m: int) -> int:
     applies up to m - j tangential derivatives to it on the way to the
     level of degree 1 - m.
     """
-    nn = partial.context.dimension - 1
-    spans = [min(block[a][b].accuracy for a in range(nn) for b in range(nn))
+    spans = [block.accuracy
              for block in [partial.g_inv, *partial.normal_derivs[: m - 1]]]
     return min(spans[j] - (m - j) for j in range(len(spans)))
 
@@ -351,7 +344,7 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
     trace = Jet.zero(chart)
     for a in range(nn):
         for b in range(nn):
-            trace = trace + block[a][b] * boundary.g[a, b]
+            trace = trace + block[a, b] * boundary.g[a, b]
     denom = nn * (2 * lam + 5 * mu) - (lam + 2 * mu)
     denom_const = denom.constant_term.real
     if not denom_const > 0:
@@ -360,21 +353,16 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
     h = trace * reciprocal(denom)
 
     inv_l2m = boundary.lame.inv_l2m
-    worst_imag = 0.0
-    out = [[None] * nn for _ in range(nn)]
-    for a in range(nn):
-        for b in range(nn):
-            entry = ((2 * lam + 5 * mu) * h * partial.g_inv[a][b]
-                     - block[a][b]) * inv_l2m
-            out[a][b], imag = _realify(entry, imaginary_tol,
-                                       f"order-{m} derivative entry ({a},{b})")
-            worst_imag = max(worst_imag, imag)
+    out = [[((2 * lam + 5 * mu) * h * partial.g_inv[a, b] - block[a, b])
+            * inv_l2m for b in range(nn)] for a in range(nn)]
+    deriv, worst_imag = _realify(JetMatrix(chart, out), imaginary_tol,
+                                 f"order-{m} derivative entry")
     diag.update({
         "imaginary": worst_imag,
         "residual_scale": residual_entry.max_abs(),
         "trace_denominator": denom_const,
     })
-    return tuple(tuple(r) for r in out), diag
+    return deriv, diag
 
 
 def recover_full(obs: ObservedSymbols, M: int,
@@ -412,8 +400,8 @@ def recover_full(obs: ObservedSymbols, M: int,
     return data
 
 
-def _cross_check_residual(obs: ObservedSymbols, g_inv) -> float:
+def _cross_check_residual(obs: ObservedSymbols, g_inv: JetMatrix) -> float:
     """Deviation between Hessian and polarization extraction at order 0."""
     norm_rec = _principal_norm(obs)
     sampled = extract_quadratic_sampled(norm_rec * norm_rec)
-    return (JetMatrix(obs.chart, sampled) - JetMatrix(obs.chart, g_inv)).max_abs()
+    return (sampled - g_inv).max_abs()

@@ -13,6 +13,7 @@ cotangent offsets), and metric blocks key ``"a,b"`` with 1-based indices
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LameJet, MetricJet
-from .jets import Jet, JetContext, check_chart_shape
+from .jets import Jet, JetContext, JetMatrix, check_chart_shape
 
 SCHEMA_VERSION = 1
 
@@ -103,7 +104,7 @@ def jet_from_map(context: JetContext, data: dict, where: str = "jet",
     coeffs = {}
     for key, value in data.items():
         parts = key.split()
-        if len(parts) != context.nvars or not all(p.isdigit() for p in parts):
+        if len(parts) != context.nvars or not all(p.isdecimal() for p in parts):
             raise SceneError(
                 f"{where}: bad exponent key {key!r} "
                 f"(need {context.nvars} space-separated non-negative integers)")
@@ -137,13 +138,10 @@ def context_from_json(data: dict, where: str = "chart") -> JetContext:
         raise SceneError(f"{where}: invalid chart: {exc}") from exc
 
 
-def metric_to_json(metric: MetricJet) -> dict:
-    n = metric.context.dimension
-    out = {}
-    for a in range(n - 1):
-        for b in range(a, n - 1):
-            out[f"{a + 1},{b + 1}"] = jet_to_map(metric.entries[a][b])
-    return out
+def block_to_json(block: JetMatrix) -> dict:
+    """A symmetric block as 1-based ``"a,b"`` keys with a <= b."""
+    return {f"{a + 1},{b + 1}": jet_to_map(block[a, b])
+            for a in range(block.rows) for b in range(a, block.cols)}
 
 
 def block_key(key: str, size: int, where: str) -> tuple[int, int]:
@@ -159,6 +157,9 @@ def block_key(key: str, size: int, where: str) -> tuple[int, int]:
 
 
 def metric_from_json(context: JetContext, data: dict) -> MetricJet:
+    if not isinstance(data, dict):
+        raise SceneError(f"metric: expected an object of 'a,b' entries, "
+                         f"got {type(data).__name__}")
     n = context.dimension
     zero = Jet.zero(context)
     entries = [[zero for _ in range(n - 1)] for _ in range(n - 1)]
@@ -199,7 +200,7 @@ def scene_to_json(scene: SceneConfig) -> dict:
         "dimension": scene.dimension,
         "truncation_order": scene.truncation_order,
         "base_covector": list(scene.base_covector),
-        "metric": metric_to_json(scene.metric),
+        "metric": block_to_json(scene.metric.tangential_matrix()),
         "lambda": jet_to_map(scene.lame.lam),
         "mu": jet_to_map(scene.lame.mu),
         "order": scene.order,
@@ -254,15 +255,20 @@ def scene_from_json(data: dict) -> SceneConfig:
     )
 
 
-def load_scene(path) -> SceneConfig:
+def read_json(path, what: str):
+    """The parsed JSON document at ``path``; ``what`` names it in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SceneError(f"cannot read scene file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SceneError(f"scene file is not valid JSON: {exc}") from exc
-    return scene_from_json(data)
+        raise SceneError(f"cannot read {what} file: {exc}") from exc
+    # bytes that are not UTF-8, or nesting deeper than the parser's stack
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SceneError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_scene(path) -> SceneConfig:
+    return scene_from_json(read_json(path, "scene"))
 
 
 # -- random admissible scenes ---------------------------------------------
@@ -320,9 +326,7 @@ def random_scene(seed: int, dimension: int = 2, truncation_order: int = 6,
 
 
 def random_vector_field(context: JetContext, rng, degree: int = 3,
-                        amplitude: float = 0.5):
-    from .geometry import VectorFieldJet
-
+                        amplitude: float = 0.5) -> JetMatrix:
     comps = []
     n = context.dimension
     for _ in range(n):
@@ -333,23 +337,36 @@ def random_vector_field(context: JetContext, rng, degree: int = 3,
             coeffs[m] = (rng.uniform(-amplitude, amplitude)
                          + 1j * rng.uniform(-amplitude, amplitude))
         comps.append(Jet.from_coefficients(context, coeffs))
-    return VectorFieldJet(comps)
+    return JetMatrix.column(context, comps)
 
 
 # -- canonical output ------------------------------------------------------
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def _canonical_batches(document):
+    """The canonical text of ``document``, in batches of encoder chunks.
+
+    The chunks of a whole symbols document, held at once, take several
+    times the size of its text.
+    """
+    chunks = _CANONICAL.iterencode(document)
+    yield from iter(lambda: "".join(itertools.islice(chunks, 8192)), "")
+    yield "\n"
+
+
 def canonical_json(document) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return "".join(_canonical_batches(document))
 
 
 def atomic_write_json(path, document) -> None:
-    text = canonical_json(document)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(_canonical_batches(document))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

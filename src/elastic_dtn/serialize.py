@@ -9,6 +9,7 @@ from .scenes import (
     SCHEMA_VERSION,
     SceneError,
     block_key,
+    block_to_json,
     context_from_json,
     context_to_json,
     jet_from_map,
@@ -93,12 +94,6 @@ def observed_from_json(data: dict) -> ObservedSymbols:
 
 
 def recovered_to_json(data: RecoveredBoundaryData) -> dict:
-    nn = data.context.dimension - 1
-
-    def block_to_json(block) -> dict:
-        return {f"{a + 1},{b + 1}": jet_to_map(block[a][b])
-                for a in range(nn) for b in range(a, nn)}
-
     def plain(value):
         if isinstance(value, dict):
             return {str(k): plain(v) for k, v in value.items()}
@@ -113,10 +108,8 @@ def recovered_to_json(data: RecoveredBoundaryData) -> dict:
         "normal_derivatives": {str(m + 1): block_to_json(block)
                                for m, block in enumerate(data.normal_derivs)},
         "accuracy": {
-            "g_inv": min(data.g_inv[a][b].accuracy
-                         for a in range(nn) for b in range(nn)),
-            **{str(m + 1): min(block[a][b].accuracy
-                               for a in range(nn) for b in range(nn))
+            "g_inv": data.g_inv.accuracy,
+            **{str(m + 1): block.accuracy
                for m, block in enumerate(data.normal_derivs)},
         },
         "diagnostics": plain(data.diagnostics),
@@ -145,7 +138,7 @@ def recovered_from_json(data: dict) -> RecoveredBoundaryData:
             rows[b - 1][a - 1] = jet
         if any(e is None for row in rows for e in row):
             raise SceneError(f"{where}: incomplete block")
-        return tuple(tuple(r) for r in rows)
+        return JetMatrix(chart, rows)
 
     g_inv = block_from_json(data["g_inv"], "g_inv", accuracy.get("g_inv"))
     orders = data.get("normal_derivatives", {})

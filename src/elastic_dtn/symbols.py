@@ -430,7 +430,7 @@ def plane_wave_consistency(ctx: SymbolContext) -> dict:
     values against (b1 + b0) v and (c2 + c1 + c0) v.  Exact for
     differential operators up to roundoff.
     """
-    from .geometry import VectorFieldJet, apply_B, apply_C
+    from .geometry import apply_B, apply_C
 
     chart = ctx.chart
     n = chart.dimension
@@ -441,14 +441,14 @@ def plane_wave_consistency(ctx: SymbolContext) -> dict:
     b_residual = 0.0
     c_residual = 0.0
     for j in range(n):
-        comps = [wave if k == j else Jet.zero(chart) for k in range(n)]
-        field = VectorFieldJet(comps)
+        field = JetMatrix.column(
+            chart, [wave if k == j else Jet.zero(chart) for k in range(n)])
         op_b = apply_B(field, geo, lame)
         op_c = apply_C(field, geo, lame)
         for k in range(n):
-            b_residual = max(b_residual, abs(op_b.components[k].constant_term
+            b_residual = max(b_residual, abs(op_b[k, 0].constant_term
                                              - b_total[k, j].constant_term))
-            c_residual = max(c_residual, abs(op_c.components[k].constant_term
+            c_residual = max(c_residual, abs(op_c[k, 0].constant_term
                                              - c_total[k, j].constant_term))
     return {
         "b_residual": b_residual,

@@ -1,10 +1,19 @@
 import json
+import re
+import warnings
 
 import pytest
 
 from elastic_dtn import jets
 from elastic_dtn.cli import main
-from elastic_dtn.scenes import SceneError, canonical_json, random_scene, scene_to_json
+from elastic_dtn.recovery import IMAGINARY_TOL, QUADRATICITY_TOL
+from elastic_dtn.scenes import (
+    DEFAULT_TOLERANCES,
+    SceneError,
+    canonical_json,
+    random_scene,
+    scene_to_json,
+)
 from elastic_dtn.serialize import observed_from_json, recovered_from_json
 
 
@@ -391,6 +400,53 @@ def test_overflowing_input_is_refused_without_a_document(tmp_path, capsys,
         argv = ["recover", "--symbols", str(sym)]
     out = tmp_path / "out.json"
     capsys.readouterr()
-    assert main(argv + ["--order", str(order), "--out", str(out)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--order", str(order), "--out", str(out)]) == code
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("error: ")
+    assert re.fullmatch(r"\[(roundtrip|recover)\] \d+\.\d\ds", err[1])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "verify"])
+@pytest.mark.parametrize("metric", ["x", 3, [], None])
+def test_non_object_metric_is_an_input_error(tmp_path, capsys, command, metric):
+    cfg = write_scene(tmp_path / "scene.json", extra={"metric": metric})
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert _error_lines(capsys) == [
+        "error: metric: expected an object of 'a,b' entries, "
+        f"got {type(metric).__name__}"]
+
+
+def test_roundtrip_reads_the_scene_recovery_tolerances(tmp_path, capsys):
+    scene = scene_to_json(random_scene(1, dimension=2, truncation_order=6,
+                                       order=3))
+    scene["tolerances"] = {"imaginary": 1e-300, "quadraticity": 1e-300}
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(scene))
+    out = tmp_path / "report.json"
+    assert main(["roundtrip", "--config", str(cfg), "--order", "3",
+                 "--out", str(out)]) == 4
     assert len(_error_lines(capsys)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, what", [
+    ("forward", "--config", "scene"), ("recover", "--symbols", "symbols")])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000])
+def test_unreadable_documents_are_input_errors(tmp_path, capsys, command, flag,
+                                               what, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main([command, flag, str(path),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    [line] = _error_lines(capsys)
+    assert line.startswith(f"error: {what} file is not valid JSON: ")
+
+
+def test_scene_tolerance_defaults_are_the_recovery_gates():
+    assert DEFAULT_TOLERANCES["quadraticity"] == QUADRATICITY_TOL
+    assert DEFAULT_TOLERANCES["imaginary"] == IMAGINARY_TOL

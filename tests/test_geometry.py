@@ -5,7 +5,7 @@ from elastic_dtn import Jet, JetContext, JetMatrix
 from elastic_dtn.geometry import (
     LameJet,
     MetricJet,
-    VectorFieldJet,
+    _check_vector,
     apply_decomposition,
     assemble_full_metric,
     lame_apply,
@@ -54,8 +54,8 @@ def test_assemble_full_metric_trivial():
     assert full3[0, 2].is_zero() and full3[2, 1].is_zero()
     # disassembly round-trip
     block = tangential_block(full3)
-    assert block[0, 0].allclose(m3.entries[0][0])
-    assert block[1, 1].allclose(m3.entries[1][1])
+    assert block[0, 0].allclose(m3.tangential_matrix()[0, 0])
+    assert block[1, 1].allclose(m3.tangential_matrix()[1, 1])
 
 
 def test_christoffel_euclidean_vanishes():
@@ -112,7 +112,7 @@ def _metric_polys(scene):
     for j in range(n):
         for k in range(n):
             if j < n - 1 and k < n - 1:
-                src = scene.metric.entries[j][k]
+                src = scene.metric.tangential_matrix()[j, k]
                 polys[j][k] = {tuple(e): v.real for e, v in src.coefficients().items()}
             elif j == k:
                 polys[j][k] = {(0,) * scene.context.nvars: 1.0}
@@ -195,17 +195,17 @@ def test_lame_apply_hand_value():
     ctx, m = euclidean_setup(K=4)
     lame = LameJet.constant(ctx, 1.5, 0.75)
     x1 = Jet.x_var(ctx, 0)
-    u = VectorFieldJet([x1 * x1, Jet.zero(ctx)])
+    u = JetMatrix.column(ctx, [x1 * x1, Jet.zero(ctx)])
     result = lame_apply(u, m, lame)
     lam, mu = 1.5, 0.75
-    assert abs(result.components[0].constant_term - 2 * (lam + 2 * mu)) < 1e-12
-    assert abs(result.components[1].constant_term) < 1e-13
+    assert abs(result[0, 0].constant_term - 2 * (lam + 2 * mu)) < 1e-12
+    assert abs(result[1, 0].constant_term) < 1e-13
 
 
 def test_lame_apply_constant_field_flat():
     ctx, m = euclidean_setup(K=4)
     lame = LameJet.constant(ctx, 1.0, 1.0)
-    u = VectorFieldJet([Jet.constant(ctx, 2.0), Jet.constant(ctx, -1.0)])
+    u = JetMatrix.column(ctx, [Jet.constant(ctx, 2.0), Jet.constant(ctx, -1.0)])
     assert lame_apply(u, m, lame).max_abs() < 1e-13
 
 
@@ -223,7 +223,7 @@ def test_lame_apply_linearity():
 def test_apply_decomposition_zero_field():
     ctx, m = euclidean_setup()
     lame = LameJet.constant(ctx, 1.0, 1.0)
-    u = VectorFieldJet([Jet.zero(ctx), Jet.zero(ctx)])
+    u = JetMatrix.column(ctx, [Jet.zero(ctx), Jet.zero(ctx)])
     assert apply_decomposition(u, m, lame).max_abs() < 1e-15
 
 
@@ -231,11 +231,8 @@ def _identity_residual(scene, rng):
     u = random_vector_field(scene.context, rng)
     lhs = apply_decomposition(u, scene.metric, scene.lame)
     ainv = leading_coefficient_inverse(scene.lame, scene.context)
-    lu = lame_apply(u, scene.metric, scene.lame)
-    col = JetMatrix.column(scene.context, list(lu.components))
-    rhs = ainv @ col
-    diff = [lhs.components[j] - rhs[j, 0] for j in range(scene.dimension)]
-    return max(d.max_abs() for d in diff)
+    rhs = ainv @ lame_apply(u, scene.metric, scene.lame)
+    return (lhs - rhs).max_abs()
 
 
 def test_operator_identity_euclidean_with_variable_coefficients():
@@ -298,7 +295,9 @@ def test_boundary_normal_gamma_identities():
 def test_vector_field_validation():
     ctx = JetContext(2, 4, (1.0,))
     with pytest.raises(ValueError):
-        VectorFieldJet([Jet.zero(ctx)])  # wrong arity
+        _check_vector(JetMatrix.column(ctx, [Jet.zero(ctx)]))  # wrong arity
+    with pytest.raises(ValueError):
+        _check_vector(JetMatrix.zeros(ctx, 2, 2))  # not a column
 
 
 def test_metric_validation():
@@ -309,6 +308,31 @@ def test_metric_validation():
         MetricJet(ctx, [[Jet.constant(ctx, 1.0j)]])  # not real
     with pytest.raises(ValueError):
         MetricJet(ctx, [[1 + Jet.xi_offset(ctx, 0)]])  # cotangent dependence
+    ctx3 = JetContext(3, 3, (1.0, 1.0))
+    one, big = Jet.constant(ctx3, 1.0), Jet.constant(ctx3, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="positive definite"):
+        MetricJet(ctx3, [[one, big], [big, one]])  # the mean overflows
+
+
+def test_metric_symmetrizes_only_off_diagonal_pairs():
+    ctx = JetContext(4, 3, (1.0, 1.0, 1.0))
+    x1 = Jet.x_var(ctx, 0)
+    one, eps = Jet.constant(ctx, 1.0), Jet.constant(ctx, 1e-13)
+    zero = Jet.zero(ctx)
+    rows = [[one + 0.1 * x1, 0.2 * x1, zero],
+            [0.2 * x1 + eps, one, zero],
+            [zero, zero, one]]
+    block = MetricJet(ctx, rows).tangential_matrix()
+    mean = (rows[0][1] + rows[1][0]) * 0.5
+    assert np.array_equal(block[0, 1].coeffs, mean.coeffs)
+    assert np.array_equal(block[1, 0].coeffs, mean.coeffs)
+    assert np.array_equal(block[0, 0].coeffs, rows[0][0].coeffs)
+    # every pair is checked before any is averaged; the first one fails
+    rows[2][1] = rows[1][2] + 1e-3
+    rows[2][0] = rows[0][2] + 1e-3
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+        MetricJet(ctx, rows)
 
 
 def test_lame_validation():

@@ -223,6 +223,36 @@ def test_matrix_entries_are_read_only_views():
             combine()
 
 
+def test_matrix_rows_are_tuples_of_entry_views():
+    ctx = make_context(n=2, K=4)
+    rng = np.random.default_rng(10)
+    m = JetMatrix(ctx, [[random_jet(ctx, rng) for _ in range(3)]
+                        for _ in range(2)])
+    rows = list(m)  # iteration goes row by row
+    assert len(rows) == 2 and all(len(row) == 3 for row in rows)
+    for i, row in enumerate(rows):
+        assert isinstance(m[i], tuple)
+        for j, entry in enumerate(row):
+            assert np.shares_memory(entry.coeffs, m.coeffs)
+            assert np.array_equal(entry.coeffs, m[i, j].coeffs)
+            assert entry.accuracy == m.accuracy
+    assert np.array_equal(m.transpose()[2, 1].coeffs, m[1, 2].coeffs)
+
+
+def test_symmetrized_keeps_the_diagonal_bits():
+    ctx = make_context(n=2, K=3)
+    rng = np.random.default_rng(12)
+    big = Jet.constant(ctx, 1.5e308)  # big + big overflows
+    m = JetMatrix(ctx, [[big, random_jet(ctx, rng)],
+                        [random_jet(ctx, rng), random_jet(ctx, rng)]])
+    sym = m.symmetrized()
+    for i in range(2):
+        assert np.array_equal(sym[i, i].coeffs, m[i, i].coeffs)
+    mean = (m[0, 1] + m[1, 0]) * 0.5
+    assert np.array_equal(sym[0, 1].coeffs, mean.coeffs)
+    assert np.array_equal(sym[1, 0].coeffs, mean.coeffs)
+
+
 def test_products_in_threads_match_serial_products():
     # contexts of one shape share product plans; each thread has its own
     # gather buffers

@@ -8,6 +8,7 @@ from elastic_dtn.recovery import (
     ObservedSymbols,
     RecoveredBoundaryData,
     _peeling_trust,
+    _realify,
     _reference_level,
     _reference_metric,
     extract_quadratic,
@@ -232,7 +233,7 @@ def test_peeling_locality():
     base = random_scene(60, dimension=2, truncation_order=7)
     chart = base.context
     xn = Jet.x_var(chart, 1)
-    bumped = MetricJet(chart, [[base.metric.entries[0][0]
+    bumped = MetricJet(chart, [[base.metric.tangential_matrix()[0, 0]
                                 + 0.2 * 0.5 * xn * xn]])
     obs_a, _ = forward_observed(base, 3)
     from elastic_dtn.scenes import SceneConfig
@@ -269,16 +270,26 @@ def test_observed_symbols_validation():
 
 def test_recovered_data_validation():
     ctx = JetContext(3, 5, (1.0, 0.5))
-    good = ((Jet.constant(ctx, 1.0), Jet.zero(ctx)),
-            (Jet.zero(ctx), Jet.constant(ctx, 1.0)))
-    RecoveredBoundaryData(ctx, good)
+    RecoveredBoundaryData(ctx, JetMatrix.identity(ctx, 2))
     with pytest.raises(ValueError):
-        RecoveredBoundaryData(ctx, ((Jet.constant(ctx, -1.0), Jet.zero(ctx)),
-                                    (Jet.zero(ctx), Jet.constant(ctx, 1.0))))
+        RecoveredBoundaryData(ctx, JetMatrix.diagonal(ctx, [-1.0, 1.0]))
     with pytest.raises(ValueError):
-        asym = ((Jet.constant(ctx, 1.0), Jet.constant(ctx, 0.3)),
-                (Jet.zero(ctx), Jet.constant(ctx, 1.0)))
+        asym = JetMatrix(ctx, [[Jet.constant(ctx, 1.0), Jet.constant(ctx, 0.3)],
+                               [Jet.zero(ctx), Jet.constant(ctx, 1.0)]])
         RecoveredBoundaryData(ctx, asym)
+    with pytest.raises(ValueError):
+        RecoveredBoundaryData(ctx, JetMatrix.identity(ctx, 3))  # wrong shape
+
+
+def test_realify_names_the_first_failing_entry():
+    ctx = JetContext(3, 4, (1.0, 0.5))
+    small, big = Jet.constant(ctx, 1.0 + 1e-12j), Jet.constant(ctx, 1.0 + 1e-6j)
+    block = JetMatrix(ctx, [[small, small], [big, big * 2.0]])
+    message = r"^entry \(1,0\): imaginary residual 1e-06 exceeds 1e-09$"
+    with pytest.raises(ConsistencyError, match=message):
+        _realify(block, 1e-9, "entry")
+    real, worst = _realify(JetMatrix(ctx, [[small]]), 1e-9, "entry")
+    assert worst == 1e-12 and real.max_imag() == 0.0
 
 
 def test_cross_check_mode():

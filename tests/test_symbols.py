@@ -244,7 +244,7 @@ def test_difference_law_first_order():
     chart = scene.context
     xn = Jet.x_var(chart, 1)
     delta = 0.3
-    entries_b = [[scene.metric.entries[0][0] + delta * xn]]
+    entries_b = [[scene.metric.tangential_matrix()[0, 0] + delta * xn]]
     metric_b = MetricJet(chart, entries_b)
     ctx_b = build_context(metric_b, scene.lame, chart)
 
@@ -282,7 +282,7 @@ def test_difference_law_first_order_dimension3():
     ctx_a = build_context(scene.metric, scene.lame, chart)
     xn = Jet.x_var(chart, 2)
     bump = [[0.25, -0.15], [-0.15, 0.1]]
-    entries_b = [[scene.metric.entries[a][b] + bump[a][b] * xn
+    entries_b = [[scene.metric.tangential_matrix()[a, b] + bump[a][b] * xn
                   for b in range(2)] for a in range(2)]
     metric_b = MetricJet(chart, entries_b)
     ctx_b = build_context(metric_b, scene.lame, chart)
@@ -325,8 +325,8 @@ def test_difference_law_second_order():
     ctx_a = build_context(scene.metric, scene.lame, chart)
     xn = Jet.x_var(chart, 1)
     delta = 0.4
-    metric_b = MetricJet(chart,
-                         [[scene.metric.entries[0][0] + delta * 0.5 * xn * xn]])
+    g11 = scene.metric.tangential_matrix()[0, 0]
+    metric_b = MetricJet(chart, [[g11 + delta * 0.5 * xn * xn]])
     ctx_b = build_context(metric_b, scene.lame, chart)
 
     levels_a = q_levels(ctx_a, depth=1)
