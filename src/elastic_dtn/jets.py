@@ -31,9 +31,11 @@ every jet product, scaling and matrix product.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -65,56 +67,54 @@ class IllConditionedWarning(UserWarning):
     pass
 
 
-class MultiIndex(tuple):
-    """Exponent tuple of a monomial, ordered graded-lexicographically."""
-
-    @property
-    def degree(self) -> int:
-        return sum(self)
-
-    def factorial(self) -> int:
-        return math.prod(math.factorial(e) for e in self)
-
-    def sort_key(self):
-        return (sum(self), tuple(self))
-
-    def __lt__(self, other):
-        return self.sort_key() < (sum(other), tuple(other))
-
-    def __le__(self, other):
-        return self.sort_key() <= (sum(other), tuple(other))
-
-    def __gt__(self, other):
-        return self.sort_key() > (sum(other), tuple(other))
-
-    def __ge__(self, other):
-        return self.sort_key() >= (sum(other), tuple(other))
+# Lookup tables depend only on the chart shape (nvars, truncation order K);
+# contexts with the same shape share them.
+@functools.cache
+def _basis(nvars: int, K: int):
+    """Graded-lex monomials of degree <= K and their lookup arrays."""
+    monomials = []
+    for degree in range(K + 1):
+        block = []
+        for combo in combinations_with_replacement(range(nvars), degree):
+            e = [0] * nvars
+            for var in combo:
+                e[var] += 1
+            block.append(tuple(e))
+        monomials.extend(sorted(block))
+    exps = np.array(monomials, dtype=np.int64)
+    degrees = exps.sum(axis=1)
+    sizes = tuple(int(np.count_nonzero(degrees <= d)) for d in range(K + 1))
+    return (tuple(monomials), {m: i for i, m in enumerate(monomials)}, degrees,
+            exps, sizes)
 
 
-def _monomials(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
-    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(max_degree + 1)]
-
-    def rec(prefix, remaining_vars, budget):
-        if remaining_vars == 1:
-            for e in range(budget + 1):
-                t = prefix + (e,)
-                by_degree[sum(t)].append(t)
-            return
-        for e in range(budget + 1):
-            rec(prefix + (e,), remaining_vars - 1, budget - e)
-
-    rec((), nvars, max_degree)
-    out: list[tuple[int, ...]] = []
-    for d in range(max_degree + 1):
-        out.extend(sorted(by_degree[d]))
-    return out
+def _positions(index: dict, exps: np.ndarray) -> np.ndarray:
+    """Basis position of each row of exponents."""
+    return np.array([index[m] for m in map(tuple, exps.tolist())], dtype=np.int64)
 
 
-# Lookup tables depend only on (nvars, truncation order); contexts with the
-# same shape share them.
-_BASIS_CACHE: dict = {}
-_MUL_CACHE: dict = {}
-_DIFF_CACHE: dict = {}
+@functools.cache
+def _mul_table(nvars: int, K: int):
+    _, index, degrees, exps, sizes = _basis(nvars, K)
+    # degrees are sorted, so the partners of a monomial of degree d are the
+    # first sizes[K - d] monomials; the pairs come out row-major
+    counts = np.array(sizes)[K - degrees]
+    left = np.repeat(np.arange(len(degrees)), counts)
+    right = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
+    target = _positions(index, exps[left] + exps[right])
+    order = np.argsort(target, kind="stable")
+    starts = np.searchsorted(target[order], np.arange(len(degrees)))
+    return left[order], right[order], starts
+
+
+@functools.cache
+def _diff_table(nvars: int, K: int, var: int):
+    _, index, _, exps, _ = _basis(nvars, K)
+    src = np.flatnonzero(exps[:, var])
+    lowered = exps[src]
+    lowered[:, var] -= 1
+    return src, _positions(index, lowered), exps[src, var].astype(np.float64)
+
 
 # Product plans, one per chart shape, result accuracy A and leading operand
 # shapes: the number of targets of degree <= A, and their pairs cut into
@@ -238,20 +238,8 @@ class JetContext:
         self.base_covector = xi0
         self.nvars = 2 * dimension - 1
         shape = (self.nvars, truncation_order)
-        basis = _BASIS_CACHE.get(shape)
-        if basis is None:
-            mons = tuple(_monomials(self.nvars, truncation_order))
-            degrees = np.array([sum(m) for m in mons], dtype=np.int64)
-            basis = (
-                mons,
-                {m: i for i, m in enumerate(mons)},
-                degrees,
-                np.array(mons, dtype=np.int64),
-                tuple(int(np.count_nonzero(degrees <= d))
-                      for d in range(truncation_order + 1)),
-            )
-            _BASIS_CACHE[shape] = basis
-        self.monomials, self._index, self.degrees, self._exps, self.sizes = basis
+        (self.monomials, self._index, self.degrees, self._exps,
+         self.sizes) = _basis(*shape)
         self._shape = shape
 
     # -- variable layout: x_0..x_{n-1} then xi-offsets 0..n-2 (0-based) --
@@ -294,52 +282,14 @@ class JetContext:
         ``starts`` delimits the pair block of each target index; every
         block is non-empty because the constant monomial pairs with all.
         """
-        table = _MUL_CACHE.get(self._shape)
-        if table is None:
-            K = self.truncation_order
-            idx = self._index
-            mons = self.monomials
-            degs = self.degrees
-            left, right, target = [], [], []
-            for i, mi in enumerate(mons):
-                cap = K - degs[i]
-                for j, mj in enumerate(mons):
-                    if degs[j] > cap:
-                        continue
-                    left.append(i)
-                    right.append(j)
-                    target.append(idx[tuple(a + b for a, b in zip(mi, mj))])
-            left = np.array(left, dtype=np.int64)
-            right = np.array(right, dtype=np.int64)
-            target = np.array(target, dtype=np.int64)
-            order = np.argsort(target, kind="stable")
-            target = target[order]
-            starts = np.searchsorted(target, np.arange(len(mons)))
-            table = (left[order], right[order], starts)
-            _MUL_CACHE[self._shape] = table
-        return table
+        return _mul_table(*self._shape)
 
     def diff_table(self, var: int):
-        key = (self._shape, var)
-        table = _DIFF_CACHE.get(key)
-        if table is None:
-            src, dst, fac = [], [], []
-            for i, m in enumerate(self.monomials):
-                e = m[var]
-                if e == 0:
-                    continue
-                lowered = list(m)
-                lowered[var] = e - 1
-                src.append(i)
-                dst.append(self._index[tuple(lowered)])
-                fac.append(float(e))
-            table = (
-                np.array(src, dtype=np.int64),
-                np.array(dst, dtype=np.int64),
-                np.array(fac, dtype=np.float64),
-            )
-            _DIFF_CACHE[key] = table
-        return table
+        """Derivative in variable ``var``: (source, target, factor) arrays.
+
+        The sources are the monomials containing ``var``, in basis order.
+        """
+        return _diff_table(*self._shape, var)
 
     def __repr__(self):
         return (
@@ -607,13 +557,10 @@ class Jet(_JetArray):
         pos = self.context.monomial_position(exponents)
         return complex(self.coeffs[pos]) if pos < len(self.coeffs) else 0j
 
-    def coefficients(self, tol: float = 0.0) -> dict[MultiIndex, complex]:
+    def coefficients(self, tol: float = 0.0) -> dict[tuple[int, ...], complex]:
         """Sparse view of the stored coefficients, in graded-lex order."""
-        out = {}
-        for m, v in zip(self.context.monomials, self.coeffs):
-            if abs(v) > tol:
-                out[MultiIndex(m)] = complex(v)
-        return out
+        return {m: complex(v) for m, v in zip(self.context.monomials, self.coeffs)
+                if abs(v) > tol}
 
     def evaluate(self, x=None, xi_offset=None) -> complex:
         ctx = self.context
@@ -770,11 +717,10 @@ class JetMatrix(_JetArray):
 
     def symmetrized(self) -> "JetMatrix":
         """Each off-diagonal pair replaced by its mean; the diagonal kept as is."""
-        c = self.coeffs
-        mean = (c + c.transpose(1, 0, 2)) * 0.5
-        diag = np.arange(self.rows)
-        mean[diag, diag] = c[diag, diag]
-        return self._wrap(self.context, mean, self.accuracy)
+        out = self.coeffs.copy()
+        i, j = np.triu_indices(self.rows, 1)
+        out[i, j] = out[j, i] = (out[i, j] + out[j, i]) * 0.5
+        return self._wrap(self.context, out, self.accuracy)
 
     def __repr__(self):
         return f"JetMatrix({self.rows}x{self.cols}, accuracy={self.accuracy})"

@@ -34,7 +34,7 @@ from .jets import (
     mat_inverse,
     reciprocal,
 )
-from .scenes import SceneError
+from .scenes import DEFAULT_TOLERANCES, SceneError
 from .symbols import (
     Factorization,
     SymbolLevels,
@@ -44,8 +44,8 @@ from .symbols import (
     q_levels,
 )
 
-QUADRATICITY_TOL = 1e-6
-IMAGINARY_TOL = 1e-9
+QUADRATICITY_TOL = DEFAULT_TOLERANCES["quadraticity"]
+IMAGINARY_TOL = DEFAULT_TOLERANCES["imaginary"]
 
 
 class ConsistencyError(Exception):
@@ -274,18 +274,13 @@ def _reference_level(obs: ObservedSymbols, partial: RecoveredBoundaryData,
 
     That level, from a chart trusted to degree A, is trusted to A - m, and
     peeling reads it only to degree trust + 2; the reference chart is
-    trusted to no more.
+    trusted to no more.  Since A >= m + 2, the recursion reaches that level.
     """
     chart = obs.chart
     accuracy = min(chart.truncation_order, trust + m + 2)
     reference = _reference_metric(chart, partial, m, accuracy)
     ctx_ref = build_context(reference, obs.lame, chart)
-    q_ref = q_levels(ctx_ref, m - 1)
-    if 1 - m not in q_ref.levels:
-        raise AccuracyExhausted(
-            f"reference forward run reached depth {q_ref.depth}, "
-            f"order {m} needs {m - 1}")
-    return p_level(ctx_ref, q_ref, 1 - m).at_boundary()
+    return p_level(ctx_ref, q_levels(ctx_ref, m - 1), 1 - m).at_boundary()
 
 
 def recover_normal_derivative(m: int, obs: ObservedSymbols,

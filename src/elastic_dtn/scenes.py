@@ -226,8 +226,9 @@ def scene_from_json(data: dict) -> SceneConfig:
         tolerances = {k: float(v) for k, v in tolerances.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise SceneError(f"scene: {exc}") from exc
-    if not all(math.isfinite(v) for v in tolerances.values()):
-        raise SceneError(f"scene: tolerances must be finite, got {tolerances}")
+    if not all(0 < v < math.inf for v in tolerances.values()):  # NaN fails
+        raise SceneError(
+            f"scene: tolerances must be finite numbers > 0, got {tolerances}")
     order = require_int(data.get("order", 3), "scene: order", 0)
     seed = data.get("seed")
     if seed is not None:

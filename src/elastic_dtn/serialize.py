@@ -78,7 +78,10 @@ def observed_from_json(data: dict) -> ObservedSymbols:
         try:
             degree = int(key)
         except ValueError:
-            raise SceneError(f"symbols document: bad level key {key!r}") from None
+            degree = None
+        # canonical keys only: "+1", " 1" and "01" would also name level 1
+        if degree is None or str(degree) != key:
+            raise SceneError(f"symbols document: bad level key {key!r}")
         levels[degree] = _matrix_from_json(chart, block, where=f"level {key}",
                                            accuracy=accuracy.get(key))
     try:

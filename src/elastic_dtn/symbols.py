@@ -18,6 +18,7 @@ checks them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -35,7 +36,6 @@ from .jets import (
     Jet,
     JetContext,
     JetMatrix,
-    MultiIndex,
     reciprocal,
     sqrt,
 )
@@ -303,7 +303,7 @@ def build_E(m: int, q: "SymbolLevels | dict", ctx: SymbolContext,
                     continue
                 phase = (-1j) ** order
                 for J in _multi_indices(nn, order):
-                    coeff = phase / MultiIndex(J).factorial()
+                    coeff = phase / math.prod(map(math.factorial, J))
                     out = out - coeff * (dxi(j, J) @ dx(k, J))
         return out
     except AccuracyExhausted as exc:
@@ -356,15 +356,15 @@ def _gamma_correction(ctx: SymbolContext) -> JetMatrix:
 
 
 def q_levels(ctx: SymbolContext, depth: int) -> SymbolLevels:
-    """Factor levels q_1 down to q_{-depth}; may stop early on exhaustion."""
+    """Factor levels q_1 down to q_{-depth}.
+
+    On a chart trusted to degree A, the level of degree d is trusted to
+    A - 1 + d, so every depth up to A - 1 is reached.
+    """
     levels = {1: q1(ctx)}
     cache = _DerivativeCache(levels)
     for m in range(-1, depth):
-        try:
-            rhs = build_E(m, levels, ctx, _cache=cache)
-            levels[-m - 1] = solve_q(rhs, ctx)
-        except AccuracyExhausted:
-            break
+        levels[-m - 1] = solve_q(build_E(m, levels, ctx, _cache=cache), ctx)
     return SymbolLevels("q", levels)
 
 
@@ -386,8 +386,7 @@ def dtn_symbols(ctx: SymbolContext, M: int) -> SymbolLevels:
     """Boundary symbol levels p_1 .. p_{-M}.
 
     Requires truncation order K >= M + 3 so the recursion keeps enough
-    trusted degrees.  If accuracy runs out mid-recursion, the levels
-    computed so far are returned; callers compare ``depth`` against M.
+    trusted degrees: the level of degree d is trusted to K - 1 + d.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
@@ -406,8 +405,6 @@ def dtn_symbols(ctx: SymbolContext, M: int) -> SymbolLevels:
 
 def _plane_wave(chart: JetContext) -> Jet:
     """exp(i <x', xi0>) as a truncated jet in the tangential x-variables."""
-    import math
-
     coeffs = {}
     n = chart.dimension
     for mono in chart.monomials:

@@ -6,9 +6,7 @@ import pytest
 
 from elastic_dtn import jets
 from elastic_dtn.cli import main
-from elastic_dtn.recovery import IMAGINARY_TOL, QUADRATICITY_TOL
 from elastic_dtn.scenes import (
-    DEFAULT_TOLERANCES,
     SceneError,
     canonical_json,
     random_scene,
@@ -200,7 +198,8 @@ def test_oversized_chart_rejected_before_any_table(tmp_path, capsys):
     doc["chart"]["truncation_order"] = 99
     big_symbols = tmp_path / "big_symbols.json"
     big_symbols.write_text(json.dumps(doc))
-    tables = (set(jets._BASIS_CACHE), set(jets._MUL_CACHE))
+    builders = (jets._basis, jets._mul_table, jets._diff_table)
+    tables = [b.cache_info().currsize for b in builders]
     out = str(tmp_path / "out.json")
     for argv in (["forward", "--config", str(big_scene)],
                  ["recover", "--symbols", str(big_symbols)],
@@ -209,7 +208,7 @@ def test_oversized_chart_rejected_before_any_table(tmp_path, capsys):
                   "--truncation", "8"]):
         assert main(argv + ["--out", out]) == 2, argv
         assert "product pairs" in capsys.readouterr().err, argv
-    assert (set(jets._BASIS_CACHE), set(jets._MUL_CACHE)) == tables
+    assert [b.cache_info().currsize for b in builders] == tables
 
 
 def test_symbols_schema_roundtrip(tmp_path):
@@ -447,6 +446,47 @@ def test_unreadable_documents_are_input_errors(tmp_path, capsys, command, flag,
     assert line.startswith(f"error: {what} file is not valid JSON: ")
 
 
-def test_scene_tolerance_defaults_are_the_recovery_gates():
-    assert DEFAULT_TOLERANCES["quadraticity"] == QUADRATICITY_TOL
-    assert DEFAULT_TOLERANCES["imaginary"] == IMAGINARY_TOL
+
+@pytest.mark.parametrize("command", ["forward", "roundtrip", "verify"])
+@pytest.mark.parametrize("value", [-1, 0])
+def test_non_positive_scene_tolerance_is_an_input_error(tmp_path, capsys,
+                                                        command, value):
+    cfg = write_scene(tmp_path / "scene.json",
+                      extra={"tolerances": {"quadraticity": value}})
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert _error_lines(capsys) == [
+        "error: scene: tolerances must be finite numbers > 0, "
+        f"got {{'quadraticity': {float(value)!r}}}"]
+
+
+@pytest.mark.parametrize("command", ["recover", "roundtrip", "verify"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_non_positive_tol_flag_is_an_input_error(tmp_path, capsys, command,
+                                                 value):
+    cfg = write_scene(tmp_path / "scene.json")
+    sym = tmp_path / "symbols.json"
+    assert main(["forward", "--config", str(cfg), "--out", str(sym)]) == 0
+    source = {"recover": ["--symbols", str(sym)]}.get(command,
+                                                      ["--config", str(cfg)])
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert main([command, *source, "--tol", value, "--out", str(out)]) == 2
+    assert _error_lines(capsys) == [
+        f"error: --tol must be a finite number > 0, got {float(value)!r}"]
+    assert not out.exists()
+
+
+def test_level_keys_must_be_canonical(tmp_path, capsys):
+    cfg = write_scene(tmp_path / "scene.json", order=1)
+    sym = tmp_path / "symbols.json"
+    assert main(["forward", "--config", str(cfg), "--out", str(sym)]) == 0
+    doc = json.loads(sym.read_text())
+    for block in ("levels", "accuracy"):
+        doc[block]["+1"] = doc[block].pop("1")
+    sym.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["recover", "--symbols", str(sym), "--order", "1",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert _error_lines(capsys) == [
+        "error: symbols document: bad level key '+1'"]

@@ -1,12 +1,15 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no private
+name under ``src/`` is defined and never used."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+SOURCES = sorted(ROOT.glob("src/**/*.py"))
+MODULES = sorted([*SOURCES, *ROOT.glob("tests/**/*.py")])
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -49,3 +52,51 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})"
               for name, line in _imported(tree).items() if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each module-level binding of a ``_private`` name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST, skip: ast.AST | None = None):
+    """Names read, attribute names and imported names, outside ``skip``."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_private_names_are_used(path):
+    elsewhere = set()
+    for other in SOURCES:
+        if other != path:
+            elsewhere.update(_references(_tree(other)))
+    unused = [f"{name} (line {node.lineno})"
+              for name, node in _private_definitions(_tree(path))
+              if name not in elsewhere
+              and name not in set(_references(_tree(path), skip=node))]
+    assert not unused, f"{path.name} defines but never uses: {', '.join(unused)}"

@@ -1,4 +1,3 @@
-import math
 import threading
 
 import numpy as np
@@ -500,15 +499,100 @@ def test_matrix_inverse_rejects_singular():
         mat_inverse(m)
 
 
-def test_multiindex_ordering_and_factorial():
-    from elastic_dtn import MultiIndex
+def test_basis_is_graded_lex_with_tuple_keys():
+    ctx = make_context(n=2, K=2)
+    assert ctx.monomials == (
+        (0, 0, 0),
+        (0, 0, 1), (0, 1, 0), (1, 0, 0),
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0))
+    assert ctx.sizes == (1, 4, 10)
+    assert ctx.degrees.tolist() == [sum(m) for m in ctx.monomials]
+    jet = Jet.from_coefficients(ctx, {(1, 1, 0): 2.0, (0, 0, 1): 3.0})
+    assert list(jet.coefficients()) == [(0, 0, 1), (1, 1, 0)]
+    assert all(type(m) is tuple for m in jet.coefficients())
 
-    a = MultiIndex((1, 0, 0))
-    b = MultiIndex((0, 2, 0))
-    assert a.degree == 1 and b.degree == 2
-    assert a < b  # graded ordering puts lower degree first
-    assert MultiIndex((0, 1, 1)) < MultiIndex((1, 0, 1))  # lex within a degree
-    assert MultiIndex((3, 2, 0)).factorial() == math.factorial(3) * 2
+
+def _loop_mul_table(ctx):
+    """The product table as a double loop over the basis: the oracle."""
+    K, idx, mons = ctx.truncation_order, ctx._index, ctx.monomials
+    degs = [sum(m) for m in mons]
+    left, right, target = [], [], []
+    for i, mi in enumerate(mons):
+        cap = K - degs[i]
+        for j, mj in enumerate(mons):
+            if degs[j] > cap:
+                continue
+            left.append(i)
+            right.append(j)
+            target.append(idx[tuple(a + b for a, b in zip(mi, mj))])
+    left = np.array(left, dtype=np.int64)
+    right = np.array(right, dtype=np.int64)
+    target = np.array(target, dtype=np.int64)
+    order = np.argsort(target, kind="stable")
+    starts = np.searchsorted(target[order], np.arange(len(mons)))
+    return left[order], right[order], starts
+
+
+def _loop_diff_table(ctx, var):
+    src, dst, fac = [], [], []
+    for i, m in enumerate(ctx.monomials):
+        if m[var]:
+            lowered = list(m)
+            lowered[var] -= 1
+            src.append(i)
+            dst.append(ctx._index[tuple(lowered)])
+            fac.append(float(m[var]))
+    return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            np.array(fac, dtype=np.float64))
+
+
+def _loop_basis(nvars, K):
+    """Graded-lex monomials by recursion over the variables: the oracle."""
+    by_degree = [[] for _ in range(K + 1)]
+
+    def rec(prefix, remaining_vars, budget):
+        if remaining_vars == 1:
+            for e in range(budget + 1):
+                t = prefix + (e,)
+                by_degree[sum(t)].append(t)
+            return
+        for e in range(budget + 1):
+            rec(prefix + (e,), remaining_vars - 1, budget - e)
+
+    rec((), nvars, K)
+    return tuple(m for block in by_degree for m in sorted(block))
+
+
+def _largest_truncation(n):
+    K = 2
+    while True:
+        try:
+            jets.check_chart_shape(n, K + 1)
+        except ValueError:
+            return K
+        K += 1
+
+
+def _assert_same_arrays(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n,K", [(2, 10), (3, 7), (4, 5),
+                                 *[(n, _largest_truncation(n)) for n in (2, 3, 4)]])
+def test_tables_equal_the_loop_tables(n, K):
+    ctx = JetContext(n, K, (1.0,) * (n - 1))
+    monomials = _loop_basis(ctx.nvars, K)
+    assert ctx.monomials == monomials
+    degrees = np.array([sum(m) for m in monomials], dtype=np.int64)
+    _assert_same_arrays([ctx.degrees, ctx._exps],
+                        [degrees, np.array(monomials, dtype=np.int64)])
+    assert ctx.sizes == tuple(int(np.count_nonzero(degrees <= d))
+                              for d in range(K + 1))
+    _assert_same_arrays(ctx.mul_table(), _loop_mul_table(ctx))
+    for var in range(ctx.nvars):
+        _assert_same_arrays(ctx.diff_table(var), _loop_diff_table(ctx, var))
 
 
 def test_matrix_products_keep_two_tables_of_gather_memory():

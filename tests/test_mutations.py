@@ -4,12 +4,12 @@ Each example walks from the root of a valid scene, symbols or recovered
 document to one node and replaces it, deletes it or adds a sibling.  The
 values are the shapes that break loaders: wrong JSON types, non-finite and
 huge numbers, integers too large for a float, and keys that look almost
-right.
+right; a key can also be renamed to one of those.
 """
 
 import functools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elastic_dtn.recovery import ObservedSymbols, recover_full
@@ -32,9 +32,9 @@ VALUES = [None, True, False, 0, 1, -1, 2, 3, 10 ** 400, 0.5, -2.5, 1e300,
           "1,1", "0 0 0 0 0", [], {}, [1.0], [1.0, 0.0], [1e308, -1e308],
           [True, 0], ["1", "0"], [[{}]], {"0 0 0 0 0": 1.0},
           {"1,1": {"0 0 0 0 0": 1.0}}]
-KEYS = ["", "x", "0", "1", "-1", "9", "1,1", "1,2", "2,1", "2,2", "3,3",
-        "0 0 0 0 0", "1 0 0 0 0", "5 0 0 0 0", "² 0 0 0 0", "g_inv",
-        "accuracy", "chart", "tolerances"]
+KEYS = ["", "x", "0", "1", "-1", "+1", " 1", "01", "9", "1,1", "1,2", "2,1",
+        "2,2", "3,3", "0 0 0 0 0", "1 0 0 0 0", "5 0 0 0 0", "² 0 0 0 0",
+        "g_inv", "accuracy", "chart", "tolerances"]
 
 MUTATION_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=150)
@@ -54,7 +54,8 @@ def documents() -> dict:
 
 @st.composite
 def mutated(draw, kind: str):
-    """A copy of a valid document with one value replaced, deleted or added."""
+    """A copy of a valid document with one value replaced, deleted or added,
+    or one key renamed."""
     doc = documents()[kind]
     path = []
     node = doc
@@ -63,7 +64,7 @@ def mutated(draw, kind: str):
                                    else range(len(node))))
         path.append(key)
         node = node[key]
-    op = draw(st.sampled_from(["replace", "delete", "add"]))
+    op = draw(st.sampled_from(["replace", "delete", "add", "rename"]))
     value = draw(st.sampled_from(VALUES))
     if not path:
         return value if op == "replace" else doc
@@ -77,6 +78,8 @@ def mutated(draw, kind: str):
         copy[last] = value
     elif op == "delete":
         del copy[last]
+    elif op == "rename" and isinstance(copy, dict):
+        copy[draw(st.sampled_from(KEYS))] = copy.pop(last)
     elif isinstance(copy, dict):
         copy[draw(st.sampled_from(KEYS))] = value
     else:
@@ -84,11 +87,19 @@ def mutated(draw, kind: str):
     return root
 
 
-def _only_scene_errors(load, doc) -> None:
+def _only_scene_errors(load, doc):
+    """What ``load`` returns for ``doc``, or None if it raised SceneError."""
     try:
-        load(doc)
+        return load(doc)
     except SceneError:
-        pass
+        return None
+
+
+def _with_level_one_renamed(key: str) -> dict:
+    doc = dict(documents()["symbols"])
+    for block in ("levels", "accuracy"):
+        doc[block] = {key if k == "1" else k: v for k, v in doc[block].items()}
+    return doc
 
 
 @MUTATION_SETTINGS
@@ -99,8 +110,11 @@ def test_scene_loader_raises_only_scene_errors(doc):
 
 @MUTATION_SETTINGS
 @given(mutated("symbols"))
+@example(_with_level_one_renamed("+1"))
 def test_symbols_loader_raises_only_scene_errors(doc):
-    _only_scene_errors(observed_from_json, doc)
+    observed = _only_scene_errors(observed_from_json, doc)
+    if observed is not None:  # each level has exactly one key, its degree
+        assert set(doc["levels"]) == {str(d) for d in observed.p.levels}
 
 
 @MUTATION_SETTINGS

@@ -388,3 +388,17 @@ def test_levels_are_homogeneous_in_xi(n, K, M):
                     euler = euler + level.dxi(a) * xi[a]
                 assert euler.max_abs() <= scene.tolerance("algebra"), (
                     seed, levels.kind, degree)
+
+
+@pytest.mark.parametrize("n,K,M", [(2, 10, 7), (3, 7, 4), (4, 5, 2)])
+def test_level_of_degree_d_is_trusted_to_K_minus_1_plus_d(n, K, M):
+    """The recursion never runs out before depth K - 1, nor p before M."""
+    ctx, _ = random_context(1, dimension=n, K=K)
+    q = q_levels(ctx, K - 1)
+    p = dtn_symbols(ctx, M)
+    assert (q.depth, p.depth) == (K - 1, M)
+    for levels in (q, p):
+        assert {d: level.accuracy for d, level in levels.levels.items()} == {
+            d: K - 1 + d for d in levels.levels}
+    with pytest.raises(AccuracyExhausted):
+        q_levels(ctx, K)
