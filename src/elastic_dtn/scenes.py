@@ -13,6 +13,7 @@ cotangent offsets), and metric blocks key ``"a,b"`` with 1-based indices
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LameJet, MetricJet
-from .jets import Jet, JetContext, JetMatrix, check_chart_shape
+from .jets import Jet, JetContext, JetMatrix, _basis, check_chart_shape
 
 SCHEMA_VERSION = 1
 
@@ -63,11 +64,6 @@ class SceneConfig:
 # -- JSON primitives -----------------------------------------------------
 
 
-def complex_to_json(value: complex) -> list:
-    value = complex(value)
-    return [value.real, value.imag]
-
-
 def complex_from_json(value, where: str = "value") -> complex:
     parts = [value, 0] if isinstance(value, (int, float)) else value
     # the bound also rejects NaN and integers too large for a float
@@ -88,19 +84,49 @@ def require_int(value, where: str, low: int, high: int | None = None) -> int:
     return value
 
 
-def jet_to_map(jet: Jet) -> dict:
-    out = {}
-    for exps, value in jet.coefficients().items():
-        if value == 0:
-            continue
-        out[" ".join(str(e) for e in exps)] = complex_to_json(value)
-    return out
+@functools.cache
+def _key_table(nvars: int, K: int):
+    """The canonical exponent keys of a chart shape, in basis order (an
+    object array), and the basis position of each key."""
+    keys = np.array([" ".join(map(str, m)) for m in _basis(nvars, K)[0]],
+                    dtype=object)
+    return keys, {key: i for i, key in enumerate(keys.tolist())}
 
 
-def jet_from_map(context: JetContext, data: dict, where: str = "jet",
-                 accuracy: int | None = None) -> Jet:
-    if not isinstance(data, dict):
-        raise SceneError(f"{where}: expected a coefficient map, got {type(data).__name__}")
+def jet_to_map(jet: Jet, where: str = "jet") -> dict:
+    """The nonzero coefficients of ``jet`` keyed by their exponent strings."""
+    c = jet.coeffs
+    if not np.isfinite(c).all():
+        raise SceneError(f"{where}: cannot write a coefficient that is not "
+                         f"finite")
+    nonzero = np.flatnonzero(c)
+    keys = _key_table(jet.context.nvars, jet.context.truncation_order)[0]
+    values = c[nonzero]
+    pairs = map(list, zip(values.real.tolist(), values.imag.tolist()))
+    return dict(zip(keys[nonzero].tolist(), pairs))
+
+
+def _canonical_entries(context: JetContext, data: dict):
+    """(positions, values) of a map whose keys are all canonical and whose
+    values are all finite ``[float, float]`` pairs; else None."""
+    index = _key_table(context.nvars, context.truncation_order)[1]
+    positions = list(map(index.get, data))
+    if None in positions:
+        return None
+    values = list(data.values())
+    numbers = itertools.chain.from_iterable(values)
+    if (set(map(type, values)) != {list} or set(map(len, values)) != {2}
+            or set(map(type, numbers)) != {float}):
+        return None
+    parts = np.array(values, dtype=np.float64)
+    if not np.isfinite(parts).all():
+        return None
+    # the [re, im] rows are complex numbers bit for bit, -0.0 included
+    return np.array(positions, dtype=np.int64), parts.view(np.complex128)[:, 0]
+
+
+def _parse_map(context: JetContext, data: dict, where: str) -> dict:
+    """Every entry of a coefficient map, validated: exponents -> complex."""
     coeffs = {}
     for key, value in data.items():
         parts = key.split()
@@ -114,7 +140,28 @@ def jet_from_map(context: JetContext, data: dict, where: str = "jet",
                 f"{where}: exponent key {key!r} exceeds truncation order "
                 f"{context.truncation_order}")
         coeffs[exps] = complex_from_json(value, f"{where}[{key!r}]")
-    return Jet.from_coefficients(context, coeffs, accuracy)
+    return coeffs
+
+
+def jet_from_map(context: JetContext, data: dict, where: str = "jet",
+                 accuracy: int | None = None) -> Jet:
+    """The jet of a coefficient map, trusted to ``accuracy`` (default: K).
+
+    Canonical keys with finite ``[re, im]`` float pairs, the form every
+    document is written in, are looked up in the chart's key table; any
+    other map goes through the parser, which accepts or reports it.
+    """
+    if not isinstance(data, dict):
+        raise SceneError(f"{where}: expected a coefficient map, got {type(data).__name__}")
+    entries = _canonical_entries(context, data)
+    if entries is None:
+        return Jet.from_coefficients(context, _parse_map(context, data, where),
+                                     accuracy)
+    positions, values = entries
+    jet = Jet.from_coefficients(context, {}, accuracy)
+    keep = positions < len(jet.coeffs)  # coefficients above it are dropped
+    jet.coeffs[positions[keep]] = values[keep]
+    return jet
 
 
 def context_to_json(context: JetContext) -> dict:
@@ -138,9 +185,10 @@ def context_from_json(data: dict, where: str = "chart") -> JetContext:
         raise SceneError(f"{where}: invalid chart: {exc}") from exc
 
 
-def block_to_json(block: JetMatrix) -> dict:
+def block_to_json(block: JetMatrix, where: str) -> dict:
     """A symmetric block as 1-based ``"a,b"`` keys with a <= b."""
-    return {f"{a + 1},{b + 1}": jet_to_map(block[a, b])
+    return {f"{a + 1},{b + 1}": jet_to_map(block[a, b],
+                                           f"{where}['{a + 1},{b + 1}']")
             for a in range(block.rows) for b in range(a, block.cols)}
 
 
@@ -200,9 +248,9 @@ def scene_to_json(scene: SceneConfig) -> dict:
         "dimension": scene.dimension,
         "truncation_order": scene.truncation_order,
         "base_covector": list(scene.base_covector),
-        "metric": block_to_json(scene.metric.tangential_matrix()),
-        "lambda": jet_to_map(scene.lame.lam),
-        "mu": jet_to_map(scene.lame.mu),
+        "metric": block_to_json(scene.metric.tangential_matrix(), "metric"),
+        "lambda": jet_to_map(scene.lame.lam, "lambda"),
+        "mu": jet_to_map(scene.lame.mu, "mu"),
         "order": scene.order,
     }
     if scene.seed is not None:

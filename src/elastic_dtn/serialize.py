@@ -20,9 +20,9 @@ from .scenes import (
 from .symbols import SymbolLevels
 
 
-def _matrix_to_json(matrix: JetMatrix) -> list:
-    return [[jet_to_map(matrix[i, j]) for j in range(matrix.cols)]
-            for i in range(matrix.rows)]
+def _matrix_to_json(matrix: JetMatrix, where: str) -> list:
+    return [[jet_to_map(matrix[i, j], f"{where}[{i}][{j}]")
+             for j in range(matrix.cols)] for i in range(matrix.rows)]
 
 
 def _matrix_from_json(context: JetContext, data, where: str,
@@ -37,13 +37,17 @@ def _matrix_from_json(context: JetContext, data, where: str,
     return JetMatrix(context, entries)
 
 
-def _accuracy_map(data: dict, chart: JetContext, where: str) -> dict:
-    """The document's trusted degrees, each checked to be an integer in 0..K."""
-    accuracy = data.get("accuracy", {})
+def _accuracy_map(accuracy, chart: JetContext, where: str, keys) -> dict:
+    """A document's trusted degree of each of ``keys``, and of nothing
+    else, each checked to be an integer in 0..K."""
     if not isinstance(accuracy, dict):
         raise SceneError(f"{where}: accuracy must be an object")
     for key, value in accuracy.items():
         require_int(value, f"{where}: accuracy {key!r}", 0, chart.truncation_order)
+    if set(accuracy) != set(keys):
+        raise SceneError(
+            f"{where}: accuracy keys must be {sorted(keys)}, got "
+            f"{sorted(accuracy)}")
     return accuracy
 
 
@@ -53,9 +57,11 @@ def symbols_to_json(levels: SymbolLevels, lame: LameJet,
         "schema": SCHEMA_VERSION,
         "kind": levels.kind,
         "chart": context_to_json(chart),
-        "levels": {str(d): _matrix_to_json(m) for d, m in levels.levels.items()},
+        "levels": {str(d): _matrix_to_json(m, f"level {d}")
+                   for d, m in levels.levels.items()},
         "accuracy": {str(d): m.accuracy for d, m in levels.levels.items()},
-        "lame": {"lambda": jet_to_map(lame.lam), "mu": jet_to_map(lame.mu)},
+        "lame": {"lambda": jet_to_map(lame.lam, "lambda"),
+                 "mu": jet_to_map(lame.mu, "mu")},
     }
 
 
@@ -65,14 +71,15 @@ def observed_from_json(data: dict) -> ObservedSymbols:
     if data.get("schema") != SCHEMA_VERSION:
         raise SceneError(
             f"symbols document: unsupported schema {data.get('schema')!r}")
-    for key in ("kind", "chart", "levels", "lame"):
+    for key in ("kind", "chart", "levels", "accuracy", "lame"):
         if key not in data:
             raise SceneError(f"symbols document: missing key {key!r}")
     for key in ("levels", "lame"):
         if not isinstance(data[key], dict):
             raise SceneError(f"symbols document: {key} must be an object")
     chart = context_from_json(data["chart"], "symbols document: chart")
-    accuracy = _accuracy_map(data, chart, "symbols document")
+    accuracy = _accuracy_map(data["accuracy"], chart, "symbols document",
+                             data["levels"])
     levels = {}
     for key, block in data["levels"].items():
         try:
@@ -83,7 +90,7 @@ def observed_from_json(data: dict) -> ObservedSymbols:
         if degree is None or str(degree) != key:
             raise SceneError(f"symbols document: bad level key {key!r}")
         levels[degree] = _matrix_from_json(chart, block, where=f"level {key}",
-                                           accuracy=accuracy.get(key))
+                                           accuracy=accuracy[key])
     try:
         parsed = SymbolLevels(data["kind"], levels)
     except ValueError as exc:
@@ -107,9 +114,10 @@ def recovered_to_json(data: RecoveredBoundaryData) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "chart": context_to_json(data.context),
-        "g_inv": block_to_json(data.g_inv),
-        "normal_derivatives": {str(m + 1): block_to_json(block)
-                               for m, block in enumerate(data.normal_derivs)},
+        "g_inv": block_to_json(data.g_inv, "g_inv"),
+        "normal_derivatives": {
+            str(m + 1): block_to_json(block, f"order {m + 1}")
+            for m, block in enumerate(data.normal_derivs)},
         "accuracy": {
             "g_inv": data.g_inv.accuracy,
             **{str(m + 1): block.accuracy
@@ -122,12 +130,16 @@ def recovered_to_json(data: RecoveredBoundaryData) -> dict:
 def recovered_from_json(data: dict) -> RecoveredBoundaryData:
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
         raise SceneError("recovered document: bad or missing schema")
-    for key in ("chart", "g_inv"):
+    for key in ("chart", "g_inv", "accuracy"):
         if key not in data:
             raise SceneError(f"recovered document: missing key {key!r}")
     chart = context_from_json(data["chart"], "recovered document: chart")
     nn = chart.dimension - 1
-    accuracy = _accuracy_map(data, chart, "recovered document")
+    orders = data.get("normal_derivatives", {})
+    if not isinstance(orders, dict):
+        raise SceneError("recovered document: normal_derivatives must be an object")
+    accuracy = _accuracy_map(data["accuracy"], chart, "recovered document",
+                             ["g_inv", *orders])
 
     def block_from_json(doc, where, acc):
         if not isinstance(doc, dict):
@@ -143,16 +155,13 @@ def recovered_from_json(data: dict) -> RecoveredBoundaryData:
             raise SceneError(f"{where}: incomplete block")
         return JetMatrix(chart, rows)
 
-    g_inv = block_from_json(data["g_inv"], "g_inv", accuracy.get("g_inv"))
-    orders = data.get("normal_derivatives", {})
-    if not isinstance(orders, dict):
-        raise SceneError("recovered document: normal_derivatives must be an object")
+    g_inv = block_from_json(data["g_inv"], "g_inv", accuracy["g_inv"])
     derivs = []
     for m in range(1, len(orders) + 1):
         doc = orders.get(str(m))
         if doc is None:
             raise SceneError(f"recovered document: missing order {m}")
-        derivs.append(block_from_json(doc, f"order {m}", accuracy.get(str(m))))
+        derivs.append(block_from_json(doc, f"order {m}", accuracy[str(m)]))
     try:
         return RecoveredBoundaryData(chart, g_inv, derivs,
                                      data.get("diagnostics", {}))

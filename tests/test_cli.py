@@ -110,11 +110,16 @@ def test_recover_missing_level_exit(tmp_path, capsys):
     sym = tmp_path / "symbols.json"
     main(["forward", "--config", str(cfg), "--out", str(sym)])
     doc = json.loads(sym.read_text())
-    del doc["levels"]["0"]
-    del doc["levels"]["-1"]
+    for block in ("levels", "accuracy"):
+        del doc[block]["0"]
+        del doc[block]["-1"]
     sym.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert main(["recover", "--symbols", str(sym), "--order", "1",
                  "--out", str(tmp_path / "r.json")]) == 2
+    assert _error_lines(capsys) == [
+        "error: recovering order 1 needs the level of degree 0; observed "
+        "levels stop at degree 1"]
 
 
 def test_recover_quadraticity_gate_exit(tmp_path):
@@ -490,3 +495,83 @@ def test_level_keys_must_be_canonical(tmp_path, capsys):
                  "--out", str(tmp_path / "out.json")]) == 2
     assert _error_lines(capsys) == [
         "error: symbols document: bad level key '+1'"]
+
+
+def test_non_finite_levels_are_refused_without_a_document(tmp_path, capsys):
+    # mu overflows in the level recursion; its levels hold NaN
+    scene = scene_to_json(random_scene(1, dimension=2, truncation_order=6,
+                                       order=3))
+    scene["mu"]["1 0 0"] = 1e300
+    cfg, out = tmp_path / "scene.json", tmp_path / "symbols.json"
+    cfg.write_text(json.dumps(scene))
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _error_lines(capsys) == [
+        "error: level 1[0][0]: cannot write a coefficient that is not finite"]
+    assert not out.exists()
+
+
+def _symbols_document(tmp_path):
+    """The symbols document of a (2,6,3) scene, parsed, and its path."""
+    scene = scene_to_json(random_scene(1, dimension=2, truncation_order=6,
+                                       order=3))
+    cfg, sym = tmp_path / "scene.json", tmp_path / "symbols.json"
+    cfg.write_text(json.dumps(scene))
+    assert main(["forward", "--config", str(cfg), "--out", str(sym)]) == 0
+    return json.loads(sym.read_text()), sym
+
+
+@pytest.mark.parametrize("mutate, got", [
+    pytest.param(lambda acc: acc.update({"+1": acc.pop("-2")}),
+                 "['+1', '-1', '-3', '0', '1']", id="renamed"),
+    pytest.param(lambda acc: acc.pop("-2"), "['-1', '-3', '0', '1']",
+                 id="missing"),
+    pytest.param(lambda acc: acc.update({"-4": 1}),
+                 "['-1', '-2', '-3', '-4', '0', '1']", id="unmatched"),
+])
+def test_symbols_accuracy_keys_must_be_the_level_keys(tmp_path, capsys, mutate,
+                                                      got):
+    doc, sym = _symbols_document(tmp_path)
+    mutate(doc["accuracy"])
+    sym.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["recover", "--symbols", str(sym), "--order", "3",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert _error_lines(capsys) == [
+        "error: symbols document: accuracy keys must be "
+        f"['-1', '-2', '-3', '0', '1'], got {got}"]
+
+
+def test_symbols_accuracy_map_is_required(tmp_path, capsys):
+    doc, sym = _symbols_document(tmp_path)
+    del doc["accuracy"]
+    sym.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["recover", "--symbols", str(sym), "--order", "3",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert _error_lines(capsys) == [
+        "error: symbols document: missing key 'accuracy'"]
+
+
+@pytest.mark.parametrize("mutate, needle", [
+    pytest.param(lambda acc: acc.pop("1"),
+                 r"accuracy keys must be \['1', 'g_inv'\], got \['g_inv'\]",
+                 id="missing-order"),
+    pytest.param(lambda acc: acc.update({"2": 1}),
+                 r"got \['1', '2', 'g_inv'\]", id="unmatched-order"),
+    pytest.param(lambda acc: acc.update({"+1": acc.pop("1")}),
+                 r"got \['\+1', 'g_inv'\]", id="renamed-order"),
+    pytest.param(lambda acc: acc.clear(), r"got \[\]", id="empty"),
+])
+def test_recovered_accuracy_keys_must_be_the_block_keys(tmp_path, mutate,
+                                                        needle):
+    cfg = write_scene(tmp_path / "scene.json", metric=curved_metric(), order=1)
+    sym, rec = tmp_path / "s.json", tmp_path / "r.json"
+    main(["forward", "--config", str(cfg), "--out", str(sym)])
+    main(["recover", "--symbols", str(sym), "--order", "1", "--out", str(rec)])
+    raw = json.loads(rec.read_text())
+    mutate(raw["accuracy"])
+    with pytest.raises(SceneError, match=needle):
+        recovered_from_json(raw)
+    del raw["accuracy"]
+    with pytest.raises(SceneError, match="missing key 'accuracy'"):
+        recovered_from_json(raw)
