@@ -124,7 +124,8 @@ def cmd_forward(args) -> int:
     symbols = dtn_symbols(
         build_context(scene.metric, scene.lame, scene.context), order)
     atomic_write_json(args.out,
-                      symbols_to_json(symbols, scene.lame, scene.context))
+                      symbols_to_json(symbols, scene.lame, scene.context),
+                      compact=True)
     print(f"wrote levels 1..{-order} to {args.out}")
     return EXIT_OK
 

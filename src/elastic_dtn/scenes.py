@@ -5,10 +5,14 @@ base covector, tangential metric jets, the two material coefficient jets,
 plus the requested recursion depth and optional tolerance overrides.
 
 File conventions (schema 1): complex numbers are ``[re, im]`` pairs, jet
-coefficient maps key space-separated exponent strings ``"e1 e2 ... "``
-over the ``2n-1`` variables (the n x-variables first, then the n-1
-cotangent offsets), and metric blocks key ``"a,b"`` with 1-based indices
-``a <= b``; symmetry is filled in.
+coefficient maps key canonical exponent strings ``"e1 e2 ... "`` (single
+spaces, no leading zeros) over the ``2n-1`` variables (the n x-variables
+first, then the n-1 cotangent offsets), and metric blocks key ``"a,b"``
+with 1-based indices ``a <= b``; symmetry is filled in.
+
+Documents are written with sorted keys: with a two-space indent, or, for
+symbols documents, whose levels hold only their x_n = 0 coefficients, as
+one compact line (:func:`atomic_write_json`).
 """
 
 from __future__ import annotations
@@ -126,15 +130,20 @@ def _canonical_entries(context: JetContext, data: dict):
 
 
 def _parse_map(context: JetContext, data: dict, where: str) -> dict:
-    """Every entry of a coefficient map, validated: exponents -> complex."""
+    """Every entry of a coefficient map, validated: exponents -> complex.
+
+    A key is written canonically, as the writer writes it, so no two keys
+    of one map name the same monomial.
+    """
     coeffs = {}
     for key, value in data.items():
         parts = key.split()
-        if len(parts) != context.nvars or not all(p.isdecimal() for p in parts):
+        exps = (tuple(map(int, parts))
+                if all(p.isdecimal() for p in parts) else ())
+        if len(exps) != context.nvars or " ".join(map(str, exps)) != key:
             raise SceneError(
-                f"{where}: bad exponent key {key!r} "
-                f"(need {context.nvars} space-separated non-negative integers)")
-        exps = tuple(int(p) for p in parts)
+                f"{where}: bad exponent key {key!r} (need {context.nvars} "
+                f"non-negative integers, single-spaced, no leading zeros)")
         if sum(exps) > context.truncation_order:
             raise SceneError(
                 f"{where}: exponent key {key!r} exceeds truncation order "
@@ -393,13 +402,15 @@ def random_vector_field(context: JetContext, rng, degree: int = 3,
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, indent=2)
+# indent=None is what lets the encoder run its C implementation in one shot
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _canonical_batches(document):
     """The canonical text of ``document``, in batches of encoder chunks.
 
-    The chunks of a whole symbols document, held at once, take several
-    times the size of its text.
+    The indented encoder runs in Python and yields one chunk per token;
+    held at once, the chunks take several times the size of the text.
     """
     chunks = _CANONICAL.iterencode(document)
     yield from iter(lambda: "".join(itertools.islice(chunks, 8192)), "")
@@ -410,12 +421,20 @@ def canonical_json(document) -> str:
     return "".join(_canonical_batches(document))
 
 
-def atomic_write_json(path, document) -> None:
+def atomic_write_json(path, document, compact: bool = False) -> None:
+    """Write ``document`` to ``path`` through a temporary file.
+
+    The text is canonical: sorted keys and two-space indent, or, with
+    ``compact``, one line of sorted keys with no spaces.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(_canonical_batches(document))
+            if compact:
+                fh.write(_COMPACT.encode(document) + "\n")
+            else:
+                fh.writelines(_canonical_batches(document))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -53,11 +53,16 @@ def _accuracy_map(accuracy, chart: JetContext, where: str, keys) -> dict:
 
 def symbols_to_json(levels: SymbolLevels, lame: LameJet,
                     chart: JetContext) -> dict:
+    """The symbols document of ``levels``, each level restricted to x_n = 0.
+
+    The DtN symbol is a boundary symbol: recovery reads every level only
+    at x_n = 0, so no other coefficient is written.
+    """
     return {
         "schema": SCHEMA_VERSION,
         "kind": levels.kind,
         "chart": context_to_json(chart),
-        "levels": {str(d): _matrix_to_json(m, f"level {d}")
+        "levels": {str(d): _matrix_to_json(m.at_boundary(), f"level {d}")
                    for d, m in levels.levels.items()},
         "accuracy": {str(d): m.accuracy for d, m in levels.levels.items()},
         "lame": {"lambda": jet_to_map(lame.lam, "lambda"),
@@ -66,6 +71,10 @@ def symbols_to_json(levels: SymbolLevels, lame: LameJet,
 
 
 def observed_from_json(data: dict) -> ObservedSymbols:
+    """The observed levels of a symbols document, restricted to x_n = 0.
+
+    Documents that store whole x_n-expansions load to the same levels.
+    """
     if not isinstance(data, dict):
         raise SceneError("symbols document: expected a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
@@ -89,8 +98,9 @@ def observed_from_json(data: dict) -> ObservedSymbols:
         # canonical keys only: "+1", " 1" and "01" would also name level 1
         if degree is None or str(degree) != key:
             raise SceneError(f"symbols document: bad level key {key!r}")
-        levels[degree] = _matrix_from_json(chart, block, where=f"level {key}",
-                                           accuracy=accuracy[key])
+        levels[degree] = _matrix_from_json(
+            chart, block, where=f"level {key}",
+            accuracy=accuracy[key]).at_boundary()
     try:
         parsed = SymbolLevels(data["kind"], levels)
     except ValueError as exc:

@@ -18,6 +18,7 @@ checks them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -62,15 +63,39 @@ class Factorization:
 
 @dataclass(frozen=True)
 class SymbolContext(Factorization):
-    """Factorization data plus every other jet the level recursion consumes."""
+    """Factorization data plus every other jet the level recursion consumes.
+
+    ``c2`` and ``c0`` are built on first read: only the checks read c2, and
+    a recursion to depth 0 never reads c0.
+    """
 
     geo: _Geometry
     lead: JetMatrix
     b1: JetMatrix
     b0: JetMatrix
-    c2: JetMatrix
     c1: JetMatrix
-    c0: JetMatrix
+
+    @functools.cached_property
+    def c2(self) -> JetMatrix:
+        """Tangential block, degree-two part."""
+        chart, lame = self.chart, self.lame
+        nn = chart.dimension - 1
+        lam, mu = lame.lam, lame.mu
+        xi_down, xi_up, norm_sq = self.xi_down, self.xi_up, self.norm_sq
+        zero = Jet.zero(chart)
+        c2 = []
+        for a in range(nn):
+            row = [-(lam + mu) * lame.inv_mu * xi_up[a] * xi_down[b]
+                   for b in range(nn)]
+            row[a] = row[a] - norm_sq
+            c2.append(row + [zero])
+        c2.append([zero] * nn + [-mu * lame.inv_l2m * norm_sq])
+        return JetMatrix(chart, c2)
+
+    @functools.cached_property
+    def c0(self) -> JetMatrix:
+        """Tangential block, degree-zero part."""
+        return zeroth_order_matrix(self.geo, self.lame)
 
 
 @dataclass(frozen=True)
@@ -147,7 +172,7 @@ def build_context(metric: MetricJet, lame: LameJet,
     grad_lam = geo.raised_gradient(lam)
     grad_mu = geo.raised_gradient(mu)
     fac = factorization(geo.ginv, lame, chart)
-    xi_down, xi_up, norm_sq = fac.xi_down, fac.xi_up, fac.norm_sq
+    xi_down, xi_up = fac.xi_down, fac.xi_up
 
     zero = Jet.zero(chart)
 
@@ -155,14 +180,6 @@ def build_context(metric: MetricJet, lame: LameJet,
     b1 = JetMatrix(chart, [[zero] * nn + [1j * (lam + mu) * inv_mu * xi_up[a]]
                            for a in range(nn)]
                    + [[1j * (lam + mu) * inv_l2m * x for x in xi_down] + [zero]])
-
-    # tangential block, degree-two part
-    c2 = []
-    for a in range(nn):
-        row = [-(lam + mu) * inv_mu * xi_up[a] * xi_down[b] for b in range(nn)]
-        row[a] = row[a] - norm_sq
-        c2.append(row + [zero])
-    c2.append([zero] * nn + [-mu * inv_l2m * norm_sq])
 
     # tangential block, degree-one part
     scalar = Jet.zero(chart)
@@ -196,10 +213,9 @@ def build_context(metric: MetricJet, lame: LameJet,
 
     return SymbolContext(
         **vars(fac), geo=geo, lead=leading_coefficient(lame, chart),
-        b1=b1, b0=normal_multiplier_matrix(geo, lame), c2=JetMatrix(chart, c2),
+        b1=b1, b0=normal_multiplier_matrix(geo, lame),
         c1=JetMatrix(chart, [[c1_entry(a, b) for b in range(n)]
-                             for a in range(n)]),
-        c0=zeroth_order_matrix(geo, lame))
+                             for a in range(n)]))
 
 
 def q1(ctx: SymbolContext) -> JetMatrix:

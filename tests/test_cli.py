@@ -9,10 +9,16 @@ from elastic_dtn.cli import main
 from elastic_dtn.scenes import (
     SceneError,
     canonical_json,
+    jet_to_map,
     random_scene,
     scene_to_json,
 )
-from elastic_dtn.serialize import observed_from_json, recovered_from_json
+from elastic_dtn.serialize import (
+    observed_from_json,
+    recovered_from_json,
+    symbols_to_json,
+)
+from elastic_dtn.symbols import build_context, dtn_symbols
 
 
 def write_scene(path, metric=None, lam=1.0, mu=1.0, n=2, K=6, order=2,
@@ -222,8 +228,6 @@ def test_symbols_schema_roundtrip(tmp_path):
     main(["forward", "--config", str(cfg), "--out", str(sym)])
     raw = json.loads(sym.read_text())
     observed = observed_from_json(raw)
-    from elastic_dtn.serialize import symbols_to_json
-
     again = symbols_to_json(observed.p, observed.lame, observed.chart)
     assert canonical_json(again) == canonical_json(raw)
 
@@ -575,3 +579,70 @@ def test_recovered_accuracy_keys_must_be_the_block_keys(tmp_path, mutate,
     del raw["accuracy"]
     with pytest.raises(SceneError, match="missing key 'accuracy'"):
         recovered_from_json(raw)
+
+
+def test_non_canonical_exponent_keys_are_input_errors(tmp_path, capsys):
+    # "01 0 0" names the monomial "1 0 0" names; neither may silently win
+    metric = {"1,1": {"0 0 0": 1.0, "1 0 0": 0.1, "01 0 0": 0.2}}
+    cfg = write_scene(tmp_path / "scene.json", metric=metric)
+    out = tmp_path / "symbols.json"
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _error_lines(capsys) == [
+        "error: metric['1,1']: bad exponent key '01 0 0' (need 3 non-negative "
+        "integers, single-spaced, no leading zeros)"]
+    assert not out.exists()
+
+
+def _whole_expansion_document(scene, order):
+    """A symbols document as written before levels were stored at x_n = 0:
+    every level's whole x_n-expansion, indented."""
+    levels = dtn_symbols(build_context(scene.metric, scene.lame,
+                                       scene.context), order)
+    doc = symbols_to_json(levels, scene.lame, scene.context)
+    doc["levels"] = {
+        str(d): [[jet_to_map(m[i, j]) for j in range(m.cols)]
+                 for i in range(m.rows)]
+        for d, m in levels.levels.items()}
+    return canonical_json(doc)
+
+
+@pytest.mark.parametrize("n, K, order", [(2, 6, 3), (3, 5, 2)])
+def test_whole_expansion_documents_recover_to_the_same_bytes(tmp_path, n, K,
+                                                              order):
+    scene = random_scene(3, dimension=n, truncation_order=K, order=order)
+    cfg, new, old = (tmp_path / name for name in ("scene.json", "new.json",
+                                                  "old.json"))
+    cfg.write_text(canonical_json(scene_to_json(scene)))
+    assert main(["forward", "--config", str(cfg), "--out", str(new)]) == 0
+    old.write_text(_whole_expansion_document(scene, order))
+    assert old.stat().st_size > new.stat().st_size
+    for flags in ([], ["--cross-check"]):
+        written = []
+        for symbols in (new, old):
+            out = tmp_path / f"recovered-{symbols.name}"
+            assert main(["recover", "--symbols", str(symbols), "--order",
+                         str(order), "--out", str(out), *flags]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1], flags
+    loaded = [observed_from_json(json.loads(path.read_text()))
+              for path in (new, old)]
+    assert [(d, m.accuracy, m.coeffs.tobytes())
+            for d, m in loaded[0].p.levels.items()] == \
+        [(d, m.accuracy, m.coeffs.tobytes())
+         for d, m in loaded[1].p.levels.items()]
+
+
+def test_forward_writes_one_compact_line_of_boundary_levels(tmp_path):
+    scene = random_scene(4, dimension=3, truncation_order=5, order=2)
+    cfg, out = tmp_path / "scene.json", tmp_path / "symbols.json"
+    cfg.write_text(canonical_json(scene_to_json(scene)))
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    normal = scene.dimension - 1
+    keys = [key for level in doc["levels"].values() for row in level
+            for jet_map in row for key in jet_map]
+    assert keys and all(key.split()[normal] == "0" for key in keys)
+    # the material jets keep their x_n-expansion: reference runs read it
+    assert any(key.split()[normal] != "0" for key in doc["lame"]["mu"])
