@@ -6,6 +6,13 @@ entries; only the tangential block g_{alpha beta}(x) varies.  Greek
 indices run over 0..n-2 (tangential), Roman over 0..n-1, with n-1 the
 normal direction.  All tensors are matrices/arrays of jets.
 
+The metric and Lame jets are functions of x alone and live on the spatial
+chart (:attr:`~elastic_dtn.jets.JetContext.spatial`), so everything built
+from them alone here (the inverse metric, the connection, traces, raised
+gradients and the multiplier matrices) is computed on that chart, with a
+fraction of the pair work; terms that meet a jet of the full chart, such
+as a vector field or a cotangent factor, are lifted to it.
+
 The module carries the isotropic elastic operator in two independent
 forms: once assembled from covariant derivatives (``lame_apply``) and once
 as a normal-direction second-order system (``apply_decomposition``).
@@ -35,17 +42,21 @@ _EIGEN_TOL = 1e-10
 
 
 def _require_real_spatial(jets, what: str):
-    """The real part of a jet or matrix of jets, which must not depend on xi."""
+    """The real part, on the spatial chart, of a jet or matrix of jets that
+    must not depend on xi."""
     if jets.max_imag() > _REALITY_TOL:
         raise ValueError(f"{what} must be real")
     if jets.depends_on_xi():
         raise ValueError(f"{what} must not depend on the cotangent variables")
-    return jets.real_part()
+    return jets.real_part().spatial_part()
 
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Tangential metric block g_{alpha beta}(x): one real, symmetric JetMatrix."""
+    """Tangential metric block g_{alpha beta}(x): one real, symmetric JetMatrix.
+
+    Block and ``context`` are on the spatial chart.
+    """
 
     context: JetContext
     _block: JetMatrix
@@ -65,7 +76,7 @@ class MetricJet:
         # written so that NaN, from an overflowing mean, fails it
         if not np.min(np.linalg.eigvalsh(block.coeffs[:, :, 0].real)) > _EIGEN_TOL:
             raise ValueError("metric block must be positive definite at the base point")
-        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "context", block.context)
         object.__setattr__(self, "_block", block)
 
     @classmethod
@@ -78,7 +89,7 @@ class MetricJet:
 
 @dataclass(frozen=True)
 class LameJet:
-    """The two material coefficient fields as real jets in x."""
+    """The two material coefficient fields as real jets on the spatial chart."""
 
     lam: Jet
     mu: Jet

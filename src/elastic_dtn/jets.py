@@ -27,10 +27,25 @@ view and ``m[i]`` a row of them.  Every block of jets in the package is a
 ``JetMatrix``, vector fields included (as columns).  Jets and matrices
 share the arithmetic over the last axis, and one product kernel serves
 every jet product, scaling and matrix product.
+
+Every chart (the *full* chart, over the x- and cotangent variables) has a
+*spatial* chart (``JetContext.spatial``): the same n, K and xi0 over the n
+x-variables alone, whose basis is the x-only monomials of the full basis
+in the same graded order.  Jets that cannot depend on the covector (the
+metric, the Lame fields and everything built from them alone) live there
+and cost a fraction of the pair work.  An operation between a spatial and
+a full jet lifts the spatial operand to the full chart, one scatter of its
+coefficients through an increasing position map, and runs there; the
+operands keep their argument positions.  Lifting keeps every bit: the
+full product table holds, for an x-only target, exactly the pairs of two
+x-only monomials, in the order of the spatial table, so a spatial product
+sums the same values in the same order as the full product of the lifted
+operands.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import threading
@@ -94,6 +109,17 @@ def _positions(index: dict, exps: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
+def _spatial_positions(dimension: int, K: int) -> np.ndarray:
+    """Full-chart basis position of each spatial-chart monomial.
+
+    Padding the x-only exponents with zeros keeps their graded-lex order,
+    so the positions increase.
+    """
+    exps = np.pad(_basis(dimension, K)[3], ((0, 0), (0, dimension - 1)))
+    return _positions(_basis(2 * dimension - 1, K)[1], exps)
+
+
+@functools.cache
 def _mul_table(nvars: int, K: int):
     _, index, degrees, exps, sizes = _basis(nvars, K)
     # degrees are sorted, so the partners of a monomial of degree d are the
@@ -119,11 +145,13 @@ def _diff_table(nvars: int, K: int, var: int):
 # Product plans, one per chart shape, result accuracy A and leading operand
 # shapes: the number of targets of degree <= A, and their pairs cut into
 # chunks of whole target blocks, with views of the gather buffer.  The buffer
-# holds two pair tables of its chart shape; a chunk's gathers and products
-# fill at most that.  Pair temporaries allocated in every product would be
-# returned to the system and faulted back in each time, so product time
-# would follow the host's memory state.  The buffers belong to the thread
-# and the shape, not to a context, so pooled contexts add nothing.
+# holds two pair tables of its chart shape, or one target's gathers and
+# products if they need more (small charts, large operand shapes); a chunk's
+# gathers and products fill at most that.  Pair temporaries allocated in
+# every product would be returned to the system and faulted back in each
+# time, so product time would follow the host's memory state.  The buffers
+# belong to the thread and the shape, not to a context, so pooled contexts
+# add nothing.
 class _ProductPlans(threading.local):
     def __init__(self):
         self.buffers = {}
@@ -139,10 +167,6 @@ def _product_plan(context: "JetContext", accuracy: int, lead_a, lead_b):
     plan = local.plans.get(key)
     if plan is None:
         left, right, starts = context.mul_table()
-        buffer = local.buffers.get(context._shape)
-        if buffer is None:
-            buffer = local.buffers[context._shape] = np.empty(
-                2 * len(left), dtype=np.complex128)
         lead = np.broadcast_shapes(lead_a, lead_b)
         shapes = [lead_a, lead_b]
         if lead not in shapes:  # else the products overwrite that gather
@@ -152,6 +176,11 @@ def _product_plan(context: "JetContext", accuracy: int, lead_a, lead_b):
         # and their pairs are a prefix of the target-sorted table
         n = context.sizes[accuracy]
         edges = np.append(starts, len(left))[:n + 1]
+        need = int(np.diff(edges).max()) * int(bounds[-1])
+        buffer = local.buffers.get(context._shape)
+        if buffer is None or len(buffer) < need:
+            buffer = local.buffers[context._shape] = np.empty(
+                max(2 * len(left), need), dtype=np.complex128)
         chunks, t0 = [], 0
         while t0 < n:
             limit = edges[t0] + len(buffer) // bounds[-1]
@@ -220,8 +249,12 @@ class JetContext:
     lazily built lookup tables for multiplication, differentiation and
     evaluation.  ``sizes[A]`` is the number of basis monomials of degree
     <= A, the stored length of a jet of accuracy A.  All jets combined in
-    one expression must share a compatible context; this is checked on
-    every binary operation.
+    one expression must share a compatible context, or be a spatial jet
+    and a full one of the same n, K and xi0; this is checked on every
+    binary operation.
+
+    ``full`` is the chart over all 2n-1 variables and ``spatial`` the one
+    over the n x-variables; each chart is one of the two.
     """
 
     def __init__(self, dimension: int, truncation_order: int, base_covector):
@@ -236,11 +269,22 @@ class JetContext:
         self.dimension = dimension
         self.truncation_order = truncation_order
         self.base_covector = xi0
-        self.nvars = 2 * dimension - 1
-        shape = (self.nvars, truncation_order)
+        self.full = self
+        self._use_variables(2 * dimension - 1)
+
+    def _use_variables(self, nvars: int) -> None:
+        self.nvars = nvars
+        self._shape = (nvars, self.truncation_order)
         (self.monomials, self._index, self.degrees, self._exps,
-         self.sizes) = _basis(*shape)
-        self._shape = shape
+         self.sizes) = _basis(*self._shape)
+
+    @functools.cached_property
+    def spatial(self) -> "JetContext":
+        """The chart of the x-variables alone, with the same n, K and xi0."""
+        chart = copy.copy(self)
+        chart.spatial = chart
+        chart._use_variables(self.dimension)
+        return chart
 
     # -- variable layout: x_0..x_{n-1} then xi-offsets 0..n-2 (0-based) --
 
@@ -250,6 +294,8 @@ class JetContext:
         return j
 
     def xi_index(self, alpha: int) -> int:
+        if self.full is not self:
+            raise ValueError("the spatial chart has no cotangent variables")
         if not 0 <= alpha < self.dimension - 1:
             raise ValueError(f"xi variable index out of range: {alpha}")
         return self.dimension + alpha
@@ -257,10 +303,6 @@ class JetContext:
     @property
     def normal_index(self) -> int:
         return self.dimension - 1
-
-    @property
-    def n_coefficients(self) -> int:
-        return len(self.monomials)
 
     def monomial_position(self, exponents) -> int:
         key = tuple(int(e) for e in exponents)
@@ -271,7 +313,8 @@ class JetContext:
 
     def compatible_with(self, other: "JetContext") -> bool:
         return (
-            self.dimension == other.dimension
+            self.nvars == other.nvars
+            and self.dimension == other.dimension
             and self.truncation_order == other.truncation_order
             and self.base_covector == other.base_covector
         )
@@ -296,14 +339,35 @@ class JetContext:
             f"JetContext(dimension={self.dimension}, "
             f"truncation_order={self.truncation_order}, "
             f"base_covector={self.base_covector})"
+            + ("" if self.full is self else ".spatial")
         )
 
 
-def _check_context(a: "_JetArray", b: "_JetArray") -> None:
-    if a.context is not b.context and not a.context.compatible_with(b.context):
+def _coeffs_on(context: JetContext, x: "_JetArray") -> np.ndarray:
+    """The coefficients of ``x`` on ``context``.
+
+    A spatial jet goes onto a full chart of its n, K and xi0 by one
+    scatter; any other pair of incompatible charts is a mismatch.
+    """
+    if x.context is context or x.context.compatible_with(context):
+        return x.coeffs
+    if not x.context.full.compatible_with(context):
         raise ContextMismatch(
-            f"jets built on incompatible contexts: {a.context!r} vs {b.context!r}"
+            f"jets built on incompatible contexts: {x.context!r} vs {context!r}"
         )
+    c = x.coeffs
+    out = np.zeros(c.shape[:-1] + (context.sizes[x.accuracy],),
+                   dtype=np.complex128)
+    positions = _spatial_positions(context.dimension, context.truncation_order)
+    out[..., positions[:c.shape[-1]]] = c
+    return out
+
+
+def _operands(a: "_JetArray", b: "_JetArray"):
+    """The chart of a binary operation and both coefficient arrays on it:
+    a spatial operand meeting a full one is lifted to the full chart."""
+    chart = a.context if a.context.full is a.context else b.context
+    return chart, _coeffs_on(chart, a), _coeffs_on(chart, b)
 
 
 def _trusted(context: JetContext, accuracy) -> int:
@@ -346,8 +410,7 @@ class _JetArray:
         """Every common coefficient within ``tol``; NaN compares unequal."""
         if not isinstance(other, _JetArray):
             other = Jet.constant(self.context, other)
-        _check_context(self, other)
-        a, b = self.coeffs, other.coeffs
+        _, a, b = _operands(self, other)
         n = min(a.shape[-1], b.shape[-1])
         return bool(np.all(np.abs(a[..., :n] - b[..., :n]) <= tol))
 
@@ -366,15 +429,13 @@ class _JetArray:
             return self._wrap(self.context, out, self.accuracy)
         if type(other) is not type(self):
             return NotImplemented
-        _check_context(self, other)
-        a, b = self.coeffs, other.coeffs
+        chart, a, b = _operands(self, other)
         if a.shape != b.shape:
             n = min(a.shape[-1], b.shape[-1])
             a, b = a[..., :n], b[..., :n]
             if a.shape != b.shape:
                 raise ValueError("shapes do not align")
-        return self._wrap(self.context, op(a, b),
-                          min(self.accuracy, other.accuracy))
+        return self._wrap(chart, op(a, b), min(self.accuracy, other.accuracy))
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -397,11 +458,9 @@ class _JetArray:
                               self.accuracy)
         if not isinstance(other, Jet):
             return NotImplemented
-        _check_context(self, other)
+        chart, a, b = _operands(self, other)
         acc = min(self.accuracy, other.accuracy)
-        return self._wrap(self.context,
-                          _product(self.context, self.coeffs, other.coeffs, acc),
-                          acc)
+        return self._wrap(chart, _product(chart, a, b, acc), acc)
 
     __rmul__ = __mul__
 
@@ -422,6 +481,20 @@ class _JetArray:
             pad = np.zeros(c.shape[:-1] + (size - c.shape[-1],), dtype=np.complex128)
             c = np.concatenate((c, pad), axis=-1)
         return self._wrap(ctx, c[..., :size], accuracy)
+
+    def lift(self, context: JetContext):
+        """This jet on ``context``: a spatial jet goes onto a full chart of
+        its n, K and xi0; any other chart must be compatible with its own."""
+        return self._wrap(context, _coeffs_on(context, self), self.accuracy)
+
+    def spatial_part(self):
+        """The part with no cotangent-offset content, on the spatial chart."""
+        chart = self.context.spatial
+        if chart is self.context:
+            return self
+        positions = _spatial_positions(chart.dimension, chart.truncation_order)
+        kept = positions[:chart.sizes[self.accuracy]]
+        return self._wrap(chart, self.coeffs[..., kept], self.accuracy)
 
     # -- calculus ---------------------------------------------------------
 
@@ -456,11 +529,6 @@ class _JetArray:
     def at_boundary(self):
         """Restrict to x_n = 0 (drop every monomial with normal content)."""
         return self._masked(self._exponents()[:, self.context.normal_index] == 0)
-
-    def xi_free_part(self):
-        """Part with no cotangent-offset content."""
-        return self._masked(
-            self._exponents()[:, self.context.dimension:].sum(axis=1) == 0)
 
     def depends_on_xi(self, tol: float = ZERO_COEFF_TOL) -> bool:
         xi_mask = self._exponents()[:, self.context.dimension:].sum(axis=1) > 0
@@ -562,16 +630,6 @@ class Jet(_JetArray):
         return {m: complex(v) for m, v in zip(self.context.monomials, self.coeffs)
                 if abs(v) > tol}
 
-    def evaluate(self, x=None, xi_offset=None) -> complex:
-        ctx = self.context
-        point = np.zeros(ctx.nvars, dtype=np.complex128)
-        if x is not None:
-            point[: ctx.dimension] = np.asarray(x, dtype=np.complex128)
-        if xi_offset is not None:
-            point[ctx.dimension:] = np.asarray(xi_offset, dtype=np.complex128)
-        vals = np.prod(np.power(point[None, :], self._exponents()), axis=1)
-        return complex(np.dot(self.coeffs, vals))
-
     def substitute_xi(self, values) -> "Jet":
         """Evaluate the cotangent offsets at numeric values, keep x symbolic."""
         ctx = self.context
@@ -585,7 +643,7 @@ class Jet(_JetArray):
                 continue
             factor = 1.0 + 0.0j
             for alpha in range(n - 1):
-                e = m[n + alpha]
+                e = m[ctx.xi_index(alpha)]
                 if e:
                     factor *= values[alpha] ** e
             reduced = m[:n] + (0,) * (n - 1)
@@ -642,13 +700,11 @@ class JetMatrix(_JetArray):
         rows = [list(row) for row in entries]
         if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("matrix rows must have equal length")
+        coeffs = [[_coeffs_on(context, e) for e in row] for row in rows]
         self.context = context
-        for row in rows:
-            for e in row:
-                _check_context(self, e)
         self.accuracy = min(e.accuracy for row in rows for e in row)
         size = context.sizes[self.accuracy]
-        self.coeffs = np.array([[e.coeffs[:size] for e in row] for row in rows],
+        self.coeffs = np.array([[c[:size] for c in row] for row in coeffs],
                                dtype=np.complex128)
         self.coeffs.flags.writeable = False
 
@@ -696,10 +752,8 @@ class JetMatrix(_JetArray):
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shapes do not align")
-        _check_context(self, other)
-        ctx = self.context
+        ctx, a, b = _operands(self, other)
         acc = min(self.accuracy, other.accuracy)
-        a, b = self.coeffs, other.coeffs
         # the k terms are added in order, so every entry has the bits of
         # the sum written out entry by entry
         out = _product(ctx, a[:, :1], b[:1], acc)
@@ -709,10 +763,6 @@ class JetMatrix(_JetArray):
 
     def transpose(self) -> "JetMatrix":
         return self._wrap(self.context, self.coeffs.transpose(1, 0, 2),
-                          self.accuracy)
-
-    def conjugate_transpose(self) -> "JetMatrix":
-        return self._wrap(self.context, np.conj(self.coeffs).transpose(1, 0, 2),
                           self.accuracy)
 
     def symmetrized(self) -> "JetMatrix":

@@ -102,7 +102,8 @@ class RecoveredBoundaryData:
 
 
 def _realify(block: JetMatrix, tol: float, where: str) -> tuple[JetMatrix, float]:
-    """The real part of ``block`` and its largest imaginary coefficient.
+    """The real part of ``block``, which has no cotangent content, on the
+    spatial chart, and its largest imaginary coefficient.
 
     The first entry over ``tol``, in row-major order, fails the gate.
     """
@@ -113,16 +114,17 @@ def _realify(block: JetMatrix, tol: float, where: str) -> tuple[JetMatrix, float
         raise ConsistencyError(
             f"{where} ({a},{b}): imaginary residual {worst[a, b]:.3g} "
             f"exceeds {tol:g}")
-    return block.real_part(), float(worst.max())
+    return block.real_part().spatial_part(), float(worst.max())
 
 
 def extract_quadratic(Q: Jet, tol: float = QUADRATICITY_TOL):
     """Read a quadratic form in the covector off a scalar jet.
 
-    Returns the symmetric coefficient block as a matrix of tangential jets
-    (the exact half-Hessian in the offset variables) together with a
-    diagnostics dict; the residual after rebuilding the quadratic form must
-    stay below ``tol``, otherwise the input was not a quadratic form.
+    Returns the symmetric coefficient block as a matrix of jets on the
+    spatial chart (the exact half-Hessian in the offset variables, with no
+    cotangent content left) together with a diagnostics dict; the residual
+    after rebuilding the quadratic form must stay below ``tol``, otherwise
+    the input was not a quadratic form.
     """
     ctx = Q.context
     if Q.accuracy < 2:
@@ -131,7 +133,7 @@ def extract_quadratic(Q: Jet, tol: float = QUADRATICITY_TOL):
     block = [[None] * nn for _ in range(nn)]
     for a in range(nn):
         for b in range(a, nn):
-            entry = (Q.dxi(a).dxi(b) * 0.5).xi_free_part()
+            entry = (Q.dxi(a).dxi(b) * 0.5).spatial_part()
             block[a][b] = entry
             block[b][a] = entry
     xi = [Jet.xi_component(ctx, a) for a in range(nn)]
@@ -144,7 +146,7 @@ def extract_quadratic(Q: Jet, tol: float = QUADRATICITY_TOL):
         raise ConsistencyError(
             f"observed level inconsistent with quadratic-form model "
             f"(residual {residual:.3g} > {tol:g})")
-    return JetMatrix(ctx, block), {"quadraticity": residual}
+    return JetMatrix(ctx.spatial, block), {"quadraticity": residual}
 
 
 def extract_quadratic_sampled(Q: Jet):
@@ -213,13 +215,14 @@ def _reference_metric(chart: JetContext, partial: RecoveredBoundaryData,
 
     Its jets are trusted to degree ``accuracy``: zero extension beyond the
     trusted degree of the recovered data turns it into the exact polynomial
-    that defines the reference chart.
+    that defines the reference chart.  It is built on the spatial chart.
     """
+    spatial = chart.spatial
     ginv = partial.g_inv.with_accuracy(accuracy)
     for j in range(1, order):
-        exps = [0] * chart.nvars
-        exps[chart.normal_index] = j
-        weight = Jet.from_coefficients(chart,
+        exps = [0] * spatial.nvars
+        exps[spatial.normal_index] = j
+        weight = Jet.from_coefficients(spatial,
                                        {tuple(exps): 1.0 / math.factorial(j)})
         deriv = partial.normal_derivs[j - 1]
         ginv = ginv + deriv.with_accuracy(accuracy) * weight
@@ -336,7 +339,7 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
     block, diag = extract_quadratic(form, tol=quadraticity_tol)
     diag["tangential_trust"] = trust
 
-    trace = Jet.zero(chart)
+    trace = Jet.zero(block.context)
     for a in range(nn):
         for b in range(nn):
             trace = trace + block[a, b] * boundary.g[a, b]

@@ -8,7 +8,9 @@ File conventions (schema 1): complex numbers are ``[re, im]`` pairs, jet
 coefficient maps key canonical exponent strings ``"e1 e2 ... "`` (single
 spaces, no leading zeros) over the ``2n-1`` variables (the n x-variables
 first, then the n-1 cotangent offsets), and metric blocks key ``"a,b"``
-with 1-based indices ``a <= b``; symmetry is filled in.
+with 1-based indices ``a <= b``; symmetry is filled in.  Keys are always
+those of the full chart: a jet stored on the spatial chart (metric, Lame
+fields, recovered blocks) is written as its lift.
 
 Documents are written with sorted keys: with a two-space indent, or, for
 symbols documents, whose levels hold only their x_n = 0 coefficients, as
@@ -98,7 +100,11 @@ def _key_table(nvars: int, K: int):
 
 
 def jet_to_map(jet: Jet, where: str = "jet") -> dict:
-    """The nonzero coefficients of ``jet`` keyed by their exponent strings."""
+    """The nonzero coefficients of ``jet`` keyed by their exponent strings.
+
+    A jet on a spatial chart is written under its full chart's keys.
+    """
+    jet = jet.lift(jet.context.full)
     c = jet.coeffs
     if not np.isfinite(c).all():
         raise SceneError(f"{where}: cannot write a coefficient that is not "

@@ -87,6 +87,18 @@ def poly_eval(a, point):
     return total
 
 
+def evaluate(jet, x=(), xi_offset=()):
+    """Value of a jet at x and the cotangent offsets, zero where not given.
+
+    Reads only the sparse coefficient map, whose keys on a spatial chart
+    have no cotangent exponents.
+    """
+    n = jet.context.dimension
+    point = (list(x) + [0.0] * (n - len(x))
+             + list(xi_offset) + [0.0] * (n - 1 - len(xi_offset)))
+    return poly_eval(jet.coefficients(), point)
+
+
 def jet_to_poly(jet):
     return {tuple(k): v for k, v in jet.coefficients().items()}
 

@@ -209,7 +209,8 @@ def test_oversized_chart_rejected_before_any_table(tmp_path, capsys):
     doc["chart"]["truncation_order"] = 99
     big_symbols = tmp_path / "big_symbols.json"
     big_symbols.write_text(json.dumps(doc))
-    builders = (jets._basis, jets._mul_table, jets._diff_table)
+    builders = (jets._basis, jets._mul_table, jets._diff_table,
+                jets._spatial_positions)
     tables = [b.cache_info().currsize for b in builders]
     out = str(tmp_path / "out.json")
     for argv in (["forward", "--config", str(big_scene)],

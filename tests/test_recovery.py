@@ -357,7 +357,6 @@ def test_every_jet_stores_only_its_trusted_coefficients():
     loaded = observed_from_json(symbols_to_json(observed.p, scene.lame,
                                                 scene.context))
     data = recover_full(observed, M)
-    sizes = scene.context.sizes
     jets = [level[i, j] for symbols in (observed, loaded)
             for level in symbols.p.levels.values()
             for i in range(level.rows) for j in range(level.cols)]
@@ -365,7 +364,7 @@ def test_every_jet_stores_only_its_trusted_coefficients():
              for row in block for e in row]
     assert min(e.accuracy for e in jets) < K
     for e in jets:
-        assert len(e.coeffs) == sizes[e.accuracy], e.accuracy
+        assert len(e.coeffs) == e.context.sizes[e.accuracy], e.accuracy
 
 
 @pytest.mark.xfail(strict=True, raises=ConsistencyError,
