@@ -15,6 +15,7 @@ tangential jets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -245,6 +246,25 @@ class BoundaryFactorization(Factorization):
 
     g: JetMatrix
 
+    @functools.cached_property
+    def peeling_scales(self) -> tuple:
+        """The factor that turns the residual entry into the quadratic form:
+        (lambda+3mu)^2/mu^2 at order 1, times lambda+2mu from order 2 on."""
+        lam, mu = self.lame.lam, self.lame.mu
+        first = (lam + 3 * mu) * (lam + 3 * mu) * reciprocal(mu * mu)
+        return first, first * (lam + 2 * mu)
+
+    @functools.cached_property
+    def trace_denominator(self) -> Jet:
+        """(n-1)(2 lambda + 5 mu) - (lambda + 2 mu), which the trace of the
+        recovered form is divided by."""
+        lam, mu = self.lame.lam, self.lame.mu
+        return (self.chart.dimension - 1) * (2 * lam + 5 * mu) - (lam + 2 * mu)
+
+    @functools.cached_property
+    def inv_trace_denominator(self) -> Jet:
+        return reciprocal(self.trace_denominator)
+
 
 def boundary_factorization(obs: ObservedSymbols,
                            g_inv: JetMatrix) -> BoundaryFactorization:
@@ -330,9 +350,7 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
             delta_rhs = lin_inverse(delta_rhs, boundary)
         residual_entry = delta_rhs[nn, nn]
 
-    scale = (lam + 3 * mu) * (lam + 3 * mu) * reciprocal(mu * mu)
-    if m >= 2:
-        scale = scale * (lam + 2 * mu)
+    scale = boundary.peeling_scales[m >= 2]
     form = -residual_entry * scale * boundary.norm_sq
     form = form.x_degree_cap(trust).with_accuracy(min(form.accuracy, trust + 2))
 
@@ -343,12 +361,11 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
     for a in range(nn):
         for b in range(nn):
             trace = trace + block[a, b] * boundary.g[a, b]
-    denom = nn * (2 * lam + 5 * mu) - (lam + 2 * mu)
-    denom_const = denom.constant_term.real
+    denom_const = boundary.trace_denominator.constant_term.real
     if not denom_const > 0:
         raise ConsistencyError(
             f"trace denominator must be positive, got {denom_const:g}")
-    h = trace * reciprocal(denom)
+    h = trace * boundary.inv_trace_denominator
 
     inv_l2m = boundary.lame.inv_l2m
     out = [[((2 * lam + 5 * mu) * h * partial.g_inv[a, b] - block[a, b])

@@ -97,6 +97,15 @@ class SymbolContext(Factorization):
         """Tangential block, degree-zero part."""
         return zeroth_order_matrix(self.geo, self.lame)
 
+    @functools.cached_property
+    def solve_factors(self) -> tuple:
+        """The scalar factors of :func:`solve_q`: 1/(2r), s2/(4r^2) and
+        s2^2/(4r^3), with r the cotangent norm."""
+        inv_norm, s2 = self.inv_norm, self.s2
+        return (0.5 * inv_norm,
+                0.25 * s2 * inv_norm * inv_norm,
+                0.25 * s2 * s2 * inv_norm * inv_norm * inv_norm)
+
 
 @dataclass(frozen=True)
 class SymbolLevels:
@@ -149,13 +158,16 @@ def factorization(ginv: JetMatrix, lame: LameJet,
     inv_norm = reciprocal(norm)
     s2 = (lam + mu) * lame.inv_l3m
 
-    outer = [[inv_norm * xi_up[a] * xi_down[b] for b in range(nn)]
-             for a in range(nn)]
+    # shared left-to-right prefixes are computed once: the same products in
+    # the same order, so every bit stays
+    scaled_up = [inv_norm * xi_up[a] for a in range(nn)]
+    outer = [[scaled_up[a] * xi_down[b] for b in range(nn)] for a in range(nn)]
     f1 = JetMatrix(chart, [outer[a] + [1j * xi_up[a]] for a in range(nn)]
                    + [[1j * x for x in xi_down] + [-norm]])
-    f2 = JetMatrix(chart, [outer[a] + [-1j * (lam + 2 * mu) * lame.inv_mu * xi_up[a]]
-                           for a in range(nn)]
-                   + [[-1j * mu * lame.inv_l2m * x for x in xi_down] + [-norm]])
+    tangential = -1j * (lam + 2 * mu) * lame.inv_mu
+    normal = -1j * mu * lame.inv_l2m
+    f2 = JetMatrix(chart, [outer[a] + [tangential * xi_up[a]] for a in range(nn)]
+                   + [[normal * x for x in xi_down] + [-norm]])
     return Factorization(chart, lame, xi_down, xi_up, norm_sq, norm, inv_norm,
                          s2, f1, f2)
 
@@ -175,10 +187,12 @@ def build_context(metric: MetricJet, lame: LameJet,
     xi_down, xi_up = fac.xi_down, fac.xi_up
 
     zero = Jet.zero(chart)
+    # shared left-to-right prefixes, computed once (see factorization)
+    ratio = 1j * (lam + mu) * inv_mu
+    ratio_up = [ratio * xi_up[a] for a in range(nn)]
 
     # first-order block, degree-one part
-    b1 = JetMatrix(chart, [[zero] * nn + [1j * (lam + mu) * inv_mu * xi_up[a]]
-                           for a in range(nn)]
+    b1 = JetMatrix(chart, [[zero] * nn + [ratio_up[a]] for a in range(nn)]
                    + [[1j * (lam + mu) * inv_l2m * x for x in xi_down] + [zero]])
 
     # tangential block, degree-one part
@@ -189,20 +203,24 @@ def build_context(metric: MetricJet, lame: LameJet,
     for a in range(nn):
         xi_grad_mu = xi_grad_mu + xi_down[a] * grad_mu[a]
 
+    shear_up = [2j * mu * inv_l2m * xi_up[c] for c in range(nn)]
+    lam_normal = 1j * inv_l2m * lam.dn()
+    mu_normal = 1j * inv_mu * mu.dn()
+
     def c1_entry(a: int, b: int) -> Jet:
         if a == nn and b == nn:
             return 1j * mu * inv_l2m * scalar + 1j * inv_l2m * xi_grad_mu
         if a == nn:
             entry = Jet.zero(chart)
             for c in range(nn):
-                entry = entry + 2j * mu * inv_l2m * xi_up[c] * gamma[nn, c, b]
-            return entry + 1j * inv_l2m * lam.dn() * xi_down[b]
+                entry = entry + shear_up[c] * gamma[nn, c, b]
+            return entry + lam_normal * xi_down[b]
         if b == nn:
-            entry = 1j * (lam + mu) * inv_mu * trace[nn] * xi_up[a]
+            entry = ratio * trace[nn] * xi_up[a]
             for c in range(nn):
                 entry = entry + 2j * xi_up[c] * gamma[a, c, nn]
-            return entry + 1j * inv_mu * mu.dn() * xi_up[a]
-        entry = 1j * (lam + mu) * inv_mu * xi_up[a] * trace[b]
+            return entry + mu_normal * xi_up[a]
+        entry = ratio_up[a] * trace[b]
         for c in range(nn):
             entry = entry + 2j * xi_up[c] * gamma[a, c, b]
         entry = entry + 1j * inv_mu * (xi_down[b] * grad_lam[a]
@@ -335,11 +353,7 @@ def solve_q(E: JetMatrix, ctx: SymbolContext) -> JetMatrix:
     with r the cotangent norm.  (Expanding with the nilpotency of F1, F2
     and b1 = s2 (F1 - F2) confirms this is the exact inverse of the map.)
     """
-    inv_norm = ctx.inv_norm
-    s2 = ctx.s2
-    half = 0.5 * inv_norm
-    quarter_sq = 0.25 * s2 * inv_norm * inv_norm
-    quarter_cu = 0.25 * s2 * s2 * inv_norm * inv_norm * inv_norm
+    half, quarter_sq, quarter_cu = ctx.solve_factors
     f2e = ctx.f2 @ E
     ef1 = E @ ctx.f1
     f2ef1 = f2e @ ctx.f1
@@ -354,8 +368,9 @@ def p1_matrix(ctx: SymbolContext) -> JetMatrix:
     inv_l3m = ctx.lame.inv_l3m
     rows = []
     for a in range(nn):
-        row = [mu * (lam + mu) * inv_l3m * ctx.inv_norm * ctx.xi_up[a] * x
-               for x in ctx.xi_down]
+        # the shared prefix is computed once, with the same bits
+        prefix = mu * (lam + mu) * inv_l3m * ctx.inv_norm * ctx.xi_up[a]
+        row = [prefix * x for x in ctx.xi_down]
         row[a] = row[a] + mu * ctx.norm
         rows.append(row + [-2j * mu * mu * inv_l3m * ctx.xi_up[a]])
     rows.append([2j * mu * mu * inv_l3m * x for x in ctx.xi_down]
