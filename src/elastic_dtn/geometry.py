@@ -148,7 +148,7 @@ def assemble_full_metric(metric: MetricJet) -> JetMatrix:
     block = metric.tangential_matrix()
     full = np.pad(block.coeffs, ((0, 1), (0, 1), (0, 0)))
     full[-1, -1, 0] = 1.0
-    return JetMatrix._wrap(metric.context, full, block.accuracy)
+    return JetMatrix._wrap(metric.context, full, block.accuracy, 0)
 
 
 def tangential_block(full: JetMatrix) -> JetMatrix:

@@ -1,15 +1,24 @@
 """Truncated multivariate Taylor (jet) arithmetic with complex coefficients.
 
-A jet is a Taylor polynomial in the boundary coordinates x_1..x_n and the
-cotangent offset variables xih_1..xih_{n-1}, truncated at a total degree K
-and centered at (x, xi') = (0, xi0).  The cotangent variables are stored as
-offsets from a fixed nonzero base covector xi0, so that |xi'| and similar
-square roots have a positive constant term.
+Every symbol of the package is positively homogeneous in the covector xi,
+so it is fixed by its values on the affine hyperplane through a base
+covector xi0 != 0 and orthogonal to it: xi = xi0 + E t, where the columns
+of E are a fixed orthonormal basis of the complement of xi0
+(:attr:`JetContext.hyperplane_basis`, which depends only on the direction
+of xi0).  A jet is a Taylor polynomial in the boundary coordinates
+x_1..x_n and the hyperplane offsets t_1..t_{n-2}, truncated at a total
+degree K and centered at (x, t) = 0.  It carries an integer homogeneity
+``degree`` d and stands for the function with F(x, s (xi0 + E t)) =
+s^d f(x, t) for s > 0.  Products add degrees; sums need equal degrees,
+and a zero jet takes any; ``reciprocal`` negates the degree and ``sqrt``
+halves it; a jet of x alone has degree 0.  ``dxi`` is the derivative in a
+covector component, from Euler's relation.  For n = 2 the hyperplane is a
+point, so a jet is a jet in x times (xi/xi0)^d.
 
 Every jet carries an integer ``accuracy``: the largest total degree whose
 coefficients are trusted.  Ring operations and Taylor division/square root
-preserve the minimum accuracy of their operands; differentiation lowers it
-by one.
+preserve the minimum accuracy of their operands; differentiation, in x or
+in xi, lowers it by one.
 
 Coefficients are held in a dense vector indexed by the graded
 lexicographic order on exponent multi-indices (the truncations used here
@@ -22,25 +31,26 @@ public coefficient map and serialization operate on the sparse
 multi-index view.
 
 A :class:`JetMatrix` is one read-only array of shape (rows, cols,
-``sizes[A]``) with one accuracy A; ``m[i, j]`` is a read-only :class:`Jet`
-view and ``m[i]`` a row of them.  Every block of jets in the package is a
-``JetMatrix``, vector fields included (as columns).  Jets and matrices
-share the arithmetic over the last axis, and one product kernel serves
-every jet product, scaling and matrix product.
+``sizes[A]``) with one accuracy A and one degree; ``m[i, j]`` is a
+read-only :class:`Jet` view and ``m[i]`` a row of them.  Every block of
+jets in the package is a ``JetMatrix``, vector fields included (as
+columns).  Jets and matrices share the arithmetic over the last axis, and
+one product kernel serves every jet product, scaling and matrix product.
 
-Every chart (the *full* chart, over the x- and cotangent variables) has a
-*spatial* chart (``JetContext.spatial``): the same n, K and xi0 over the n
-x-variables alone, whose basis is the x-only monomials of the full basis
-in the same graded order.  Jets that cannot depend on the covector (the
-metric, the Lame fields and everything built from them alone) live there
-and cost a fraction of the pair work.  An operation between a spatial and
-a full jet lifts the spatial operand to the full chart, one scatter of its
-coefficients through an increasing position map, and runs there; the
-operands keep their argument positions.  Lifting keeps every bit: the
-full product table holds, for an x-only target, exactly the pairs of two
-x-only monomials, in the order of the spatial table, so a spatial product
-sums the same values in the same order as the full product of the lifted
-operands.
+Every chart (the *full* chart, over the x-variables and the hyperplane
+offsets) has a *spatial* chart (``JetContext.spatial``): the same n, K and
+xi0 over the n x-variables alone, whose basis is the x-only monomials of
+the full basis in the same graded order.  Jets that cannot depend on the
+covector (the metric, the Lame fields and everything built from them
+alone) live there and cost a fraction of the pair work.  An operation
+between a spatial and a full jet lifts the spatial operand to the full
+chart, one scatter of its coefficients through an increasing position
+map, and runs there; the operands keep their argument positions.  Lifting
+keeps every bit: the full product table holds, for an x-only target,
+exactly the pairs of two x-only monomials, in the order of the spatial
+table, so a spatial product sums the same values in the same order as the
+full product of the lifted operands.  For n = 2 the two charts have the
+same variables and share their tables, and lifting is a relabelling.
 """
 
 from __future__ import annotations
@@ -58,7 +68,8 @@ APPROX_TOL = 1e-12
 ZERO_COEFF_TOL = 1e-14
 CONDITION_LIMIT = 1e8
 # Largest multiplication table a chart may ask for, in (left, right) pairs.
-# The largest chart in use, (n, K) = (4, 7), needs 116,280.
+# The largest chart in use, (n, K) = (4, 7), needs 50,388, and (4, 8)
+# needs 125,970.
 MAX_PRODUCT_PAIRS = 200_000
 
 
@@ -110,13 +121,19 @@ def _positions(index: dict, exps: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _spatial_positions(dimension: int, K: int) -> np.ndarray:
-    """Full-chart basis position of each spatial-chart monomial.
+    """Full-chart basis position of each spatial-chart monomial (n >= 3).
 
     Padding the x-only exponents with zeros keeps their graded-lex order,
     so the positions increase.
     """
-    exps = np.pad(_basis(dimension, K)[3], ((0, 0), (0, dimension - 1)))
-    return _positions(_basis(2 * dimension - 1, K)[1], exps)
+    exps = np.pad(_basis(dimension, K)[3], ((0, 0), (0, dimension - 2)))
+    return _positions(_basis(2 * dimension - 2, K)[1], exps)
+
+
+@functools.cache
+def _hyperplane_degrees(dimension: int, K: int) -> np.ndarray:
+    """The t-degree of each full-chart monomial, as floats."""
+    return _basis(2 * dimension - 2, K)[3][:, dimension:].sum(axis=1) * 1.0
 
 
 @functools.cache
@@ -224,7 +241,7 @@ def _product(context: "JetContext", a: np.ndarray, b: np.ndarray,
 def check_chart_shape(dimension: int, truncation_order: int) -> None:
     """Reject a chart shape before anything of its size is built.
 
-    The product table of a chart holds C(K + 2v, 2v) pairs for v = 2n - 1
+    The product table of a chart holds C(K + 2v, 2v) pairs for v = 2n - 2
     variables; the count stops as soon as it passes the budget, so hostile
     sizes cost nothing.
     """
@@ -233,7 +250,7 @@ def check_chart_shape(dimension: int, truncation_order: int) -> None:
     if truncation_order < 2:
         raise ValueError(f"truncation order must be >= 2, got {truncation_order}")
     pairs = 1
-    for i in range(1, 2 * (2 * dimension - 1) + 1):
+    for i in range(1, 2 * (2 * dimension - 2) + 1):
         pairs = pairs * (truncation_order + i) // i  # C(K + i, i), exactly
         if pairs > MAX_PRODUCT_PAIRS:
             raise ValueError(
@@ -244,16 +261,16 @@ def check_chart_shape(dimension: int, truncation_order: int) -> None:
 class JetContext:
     """Shared frame for a family of jets.
 
-    Holds the dimension n (so there are n x-variables and n-1 cotangent
+    Holds the dimension n (so there are n x-variables and n-2 hyperplane
     offsets), the truncation order K, the base covector xi0 != 0, and the
-    lazily built lookup tables for multiplication, differentiation and
-    evaluation.  ``sizes[A]`` is the number of basis monomials of degree
-    <= A, the stored length of a jet of accuracy A.  All jets combined in
-    one expression must share a compatible context, or be a spatial jet
-    and a full one of the same n, K and xi0; this is checked on every
-    binary operation.
+    lazily built lookup tables for multiplication and differentiation.
+    ``sizes[A]`` is the number of basis monomials of degree <= A, the
+    stored length of a jet of accuracy A.  All jets combined in one
+    expression must share a compatible context, or be a spatial jet and a
+    full one of the same n, K and xi0; this is checked on every binary
+    operation.
 
-    ``full`` is the chart over all 2n-1 variables and ``spatial`` the one
+    ``full`` is the chart over all 2n-2 variables and ``spatial`` the one
     over the n x-variables; each chart is one of the two.
     """
 
@@ -270,7 +287,7 @@ class JetContext:
         self.truncation_order = truncation_order
         self.base_covector = xi0
         self.full = self
-        self._use_variables(2 * dimension - 1)
+        self._use_variables(2 * dimension - 2)
 
     def _use_variables(self, nvars: int) -> None:
         self.nvars = nvars
@@ -286,19 +303,35 @@ class JetContext:
         chart._use_variables(self.dimension)
         return chart
 
-    # -- variable layout: x_0..x_{n-1} then xi-offsets 0..n-2 (0-based) --
+    @functools.cached_property
+    def hyperplane_basis(self) -> np.ndarray:
+        """E, the (n-1) x (n-2) orthonormal basis of the complement of xi0.
+
+        With u = xi0/|xi0| and p the first index of the largest |u_p|, the
+        Householder reflection H = I - 2 w w^T / (w^T w), w = u + sign(u_p)
+        e_p, maps u to -sign(u_p) e_p; its columns j != p, in increasing
+        order, are orthonormal and orthogonal to xi0.
+        """
+        u = np.array(self.base_covector) / math.hypot(*self.base_covector)
+        p = int(np.argmax(np.abs(u)))
+        w = u.copy()
+        w[p] += math.copysign(1.0, u[p])
+        reflection = np.eye(len(u)) - np.outer(w, w) * (2.0 / (w @ w))
+        return np.delete(reflection, p, axis=1)
+
+    # -- variable layout: x_0..x_{n-1} then t_0..t_{n-3} (0-based) --
 
     def x_index(self, j: int) -> int:
         if not 0 <= j < self.dimension:
             raise ValueError(f"x variable index out of range: {j}")
         return j
 
-    def xi_index(self, alpha: int) -> int:
-        if self.full is not self:
-            raise ValueError("the spatial chart has no cotangent variables")
-        if not 0 <= alpha < self.dimension - 1:
-            raise ValueError(f"xi variable index out of range: {alpha}")
-        return self.dimension + alpha
+    def xi_index(self, k: int) -> int:
+        """Variable index of the hyperplane offset t_k."""
+        _require_full(self)
+        if not 0 <= k < self.dimension - 2:
+            raise ValueError(f"hyperplane variable index out of range: {k}")
+        return self.dimension + k
 
     @property
     def normal_index(self) -> int:
@@ -312,8 +345,10 @@ class JetContext:
         return pos
 
     def compatible_with(self, other: "JetContext") -> bool:
+        """Same kind of chart (full or spatial), n, K and xi0."""
         return (
             self.nvars == other.nvars
+            and (self.full is self) == (other.full is other)
             and self.dimension == other.dimension
             and self.truncation_order == other.truncation_order
             and self.base_covector == other.base_covector
@@ -347,7 +382,8 @@ def _coeffs_on(context: JetContext, x: "_JetArray") -> np.ndarray:
     """The coefficients of ``x`` on ``context``.
 
     A spatial jet goes onto a full chart of its n, K and xi0 by one
-    scatter; any other pair of incompatible charts is a mismatch.
+    scatter (for n = 2 the two charts share their variables); any other
+    pair of incompatible charts is a mismatch.
     """
     if x.context is context or x.context.compatible_with(context):
         return x.coeffs
@@ -356,6 +392,8 @@ def _coeffs_on(context: JetContext, x: "_JetArray") -> np.ndarray:
             f"jets built on incompatible contexts: {x.context!r} vs {context!r}"
         )
     c = x.coeffs
+    if context.nvars == x.context.nvars:
+        return c
     out = np.zeros(c.shape[:-1] + (context.sizes[x.accuracy],),
                    dtype=np.complex128)
     positions = _spatial_positions(context.dimension, context.truncation_order)
@@ -370,6 +408,23 @@ def _operands(a: "_JetArray", b: "_JetArray"):
     return chart, _coeffs_on(chart, a), _coeffs_on(chart, b)
 
 
+def _common_degree(jets) -> int:
+    """The degree that ``jets`` share: a zero jet takes any degree, and
+    zeros alone keep the first one's."""
+    degrees = {x.degree for x in jets}
+    if len(degrees) > 1:
+        degrees = {x.degree for x in jets if x.coeffs.any()} or {jets[0].degree}
+        if len(degrees) > 1:
+            raise ValueError(f"cannot combine jets of homogeneity degrees "
+                             f"{sorted(degrees)}")
+    return degrees.pop()
+
+
+def _require_full(context: JetContext) -> None:
+    if context.full is not context:
+        raise ValueError("the spatial chart has no cotangent variables")
+
+
 def _trusted(context: JetContext, accuracy) -> int:
     """``accuracy`` capped at the truncation order; negative is an error."""
     accuracy = min(int(accuracy), context.truncation_order)
@@ -379,22 +434,31 @@ def _trusted(context: JetContext, accuracy) -> int:
 
 
 class _JetArray:
-    """Jets along the last axis of ``coeffs``, all trusted to ``accuracy``.
+    """Jets along the last axis of ``coeffs``, all trusted to ``accuracy``
+    and all of homogeneity degree ``degree`` in xi.
 
     ``coeffs`` has shape (..., ``context.sizes[accuracy]``).  The arithmetic
     below is written once for every leading shape: :class:`Jet` has none,
     :class:`JetMatrix` has (rows, cols).
     """
 
-    __slots__ = ("context", "coeffs", "accuracy")
+    __slots__ = ("context", "coeffs", "accuracy", "degree")
 
     @classmethod
-    def _wrap(cls, context: JetContext, coeffs: np.ndarray, accuracy: int):
+    def _wrap(cls, context: JetContext, coeffs: np.ndarray, accuracy: int,
+              degree: int):
         out = object.__new__(cls)
         out.context = context
         out.coeffs = coeffs
         out.accuracy = accuracy
+        out.degree = degree
         return out
+
+    def _like(self, coeffs: np.ndarray, accuracy=None):
+        """New coefficients on this chart, with this degree."""
+        return self._wrap(self.context, coeffs,
+                          self.accuracy if accuracy is None else accuracy,
+                          self.degree)
 
     # -- views ---------------------------------------------------------
 
@@ -407,12 +471,21 @@ class _JetArray:
     # -- predicates -----------------------------------------------------
 
     def allclose(self, other, tol: float = APPROX_TOL) -> bool:
-        """Every common coefficient within ``tol``; NaN compares unequal."""
+        """Every common coefficient within ``tol``; NaN compares unequal.
+
+        Jets of different degrees are close only if both are within
+        ``tol`` of zero.
+        """
         if not isinstance(other, _JetArray):
             other = Jet.constant(self.context, other)
+            if not other.coeffs.any():
+                other.degree = self.degree
         _, a, b = _operands(self, other)
         n = min(a.shape[-1], b.shape[-1])
-        return bool(np.all(np.abs(a[..., :n] - b[..., :n]) <= tol))
+        a, b = a[..., :n], b[..., :n]
+        if self.degree != other.degree:
+            return bool(np.all(np.abs(a) <= tol) and np.all(np.abs(b) <= tol))
+        return bool(np.all(np.abs(a - b) <= tol))
 
     def is_zero(self, tol: float = APPROX_TOL) -> bool:
         return self.allclose(0.0, tol)
@@ -424,18 +497,24 @@ class _JetArray:
         if not isinstance(other, _JetArray):
             if self.coeffs.ndim > 1:
                 return NotImplemented  # a number is not a matrix
+            value = complex(other)
+            degree = self.degree
+            if value and degree:  # a number has degree 0
+                degree = _common_degree([self, Jet.constant(self.context, value)])
             out = self.coeffs.copy()
-            op(out[..., 0], complex(other), out=out[..., 0])
-            return self._wrap(self.context, out, self.accuracy)
+            op(out[..., 0], value, out=out[..., 0])
+            return self._wrap(self.context, out, self.accuracy, degree)
         if type(other) is not type(self):
             return NotImplemented
         chart, a, b = _operands(self, other)
+        degree = _common_degree([self, other])
         if a.shape != b.shape:
             n = min(a.shape[-1], b.shape[-1])
             a, b = a[..., :n], b[..., :n]
             if a.shape != b.shape:
                 raise ValueError("shapes do not align")
-        return self._wrap(chart, op(a, b), min(self.accuracy, other.accuracy))
+        return self._wrap(chart, op(a, b), min(self.accuracy, other.accuracy),
+                          degree)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -449,24 +528,23 @@ class _JetArray:
         return (-self) + complex(other)
 
     def __neg__(self):
-        return self._wrap(self.context, -self.coeffs, self.accuracy)
+        return self._like(-self.coeffs)
 
     def __mul__(self, other):
         """Scale by a number or by a jet."""
         if not isinstance(other, _JetArray):
-            return self._wrap(self.context, self.coeffs * complex(other),
-                              self.accuracy)
+            return self._like(self.coeffs * complex(other))
         if not isinstance(other, Jet):
             return NotImplemented
         chart, a, b = _operands(self, other)
         acc = min(self.accuracy, other.accuracy)
-        return self._wrap(chart, _product(chart, a, b, acc), acc)
+        return self._wrap(chart, _product(chart, a, b, acc), acc,
+                          self.degree + other.degree)
 
     __rmul__ = __mul__
 
     def real_part(self):
-        return self._wrap(self.context, self.coeffs.real.astype(np.complex128),
-                          self.accuracy)
+        return self._like(self.coeffs.real.astype(np.complex128))
 
     def with_accuracy(self, accuracy: int):
         """Copy trusted to ``accuracy``.
@@ -480,48 +558,85 @@ class _JetArray:
         if size > c.shape[-1]:
             pad = np.zeros(c.shape[:-1] + (size - c.shape[-1],), dtype=np.complex128)
             c = np.concatenate((c, pad), axis=-1)
-        return self._wrap(ctx, c[..., :size], accuracy)
+        return self._like(c[..., :size], accuracy)
 
     def lift(self, context: JetContext):
         """This jet on ``context``: a spatial jet goes onto a full chart of
         its n, K and xi0; any other chart must be compatible with its own."""
-        return self._wrap(context, _coeffs_on(context, self), self.accuracy)
+        return self._wrap(context, _coeffs_on(context, self), self.accuracy,
+                          self.degree)
 
     def spatial_part(self):
-        """The part with no cotangent-offset content, on the spatial chart."""
+        """The part with no hyperplane-offset content, on the spatial chart;
+        only a jet of degree 0, or a zero jet, has one."""
         chart = self.context.spatial
         if chart is self.context:
             return self
-        positions = _spatial_positions(chart.dimension, chart.truncation_order)
-        kept = positions[:chart.sizes[self.accuracy]]
-        return self._wrap(chart, self.coeffs[..., kept], self.accuracy)
+        if self.degree and self.coeffs.any():
+            raise ValueError(f"a jet of homogeneity degree {self.degree} is "
+                             f"not a function of x alone")
+        c = self.coeffs
+        if chart.nvars != self.context.nvars:
+            positions = _spatial_positions(chart.dimension, chart.truncation_order)
+            c = c[..., positions[:chart.sizes[self.accuracy]]]
+        return self._wrap(chart, c, self.accuracy, 0)
 
     # -- calculus ---------------------------------------------------------
+
+    def _derivative_terms(self, var: int):
+        """(targets, values) of the derivative in variable ``var``."""
+        c = self.coeffs
+        src, dst, fac = self.context.diff_table(var)
+        # src is sorted, so the stored sources are a prefix of the table
+        k = np.searchsorted(src, c.shape[-1])
+        return dst[:k], c[..., src[:k]] * fac[:k]
 
     def partial(self, var: int):
         if self.accuracy < 1:
             raise AccuracyExhausted("derivative exceeds trusted degree")
         ctx, c = self.context, self.coeffs
-        src, dst, fac = ctx.diff_table(var)
-        # src is sorted, so the stored sources are a prefix of the table
-        k = np.searchsorted(src, c.shape[-1])
         out = np.zeros(c.shape[:-1] + (ctx.sizes[self.accuracy - 1],),
                        dtype=np.complex128)
-        out[..., dst[:k]] = c[..., src[:k]] * fac[:k]
-        return self._wrap(ctx, out, self.accuracy - 1)
+        dst, values = self._derivative_terms(var)
+        out[..., dst] = values
+        return self._like(out, self.accuracy - 1)
 
     def dx(self, j: int):
         return self.partial(self.context.x_index(j))
 
-    def dxi(self, alpha: int):
-        return self.partial(self.context.xi_index(alpha))
+    def dxi(self, a: int):
+        """The derivative in the covector component xi_a, from Euler's
+        relation for a function of degree d:
+
+            xi0_a / |xi0|^2 (d f - sum_k t_k df/dt_k) + sum_k E_ak df/dt_k.
+
+        The first part scales each coefficient by d minus its t-degree.
+        The degree falls by one, and so does the accuracy.
+        """
+        ctx, c = self.context, self.coeffs
+        n = ctx.dimension
+        _require_full(ctx)
+        if not 0 <= a < n - 1:
+            raise ValueError(f"covector index out of range: {a}")
+        if self.accuracy < 1:
+            raise AccuracyExhausted("derivative exceeds trusted degree")
+        size = ctx.sizes[self.accuracy - 1]
+        xi0 = ctx.base_covector
+        euler = (self.degree - _hyperplane_degrees(n, ctx.truncation_order)[:size]) \
+            * (xi0[a] / math.fsum(v * v for v in xi0))
+        out = c[..., :size] * euler
+        basis = ctx.hyperplane_basis
+        for k in range(n - 2):
+            if basis[a, k]:
+                dst, values = self._derivative_terms(n + k)
+                out[..., dst] += values * basis[a, k]
+        return self._wrap(ctx, out, self.accuracy - 1, self.degree - 1)
 
     def dn(self):
         return self.dx(self.context.normal_index)
 
     def _masked(self, mask: np.ndarray):
-        return self._wrap(self.context, np.where(mask, self.coeffs, 0.0),
-                          self.accuracy)
+        return self._like(np.where(mask, self.coeffs, 0.0))
 
     def _exponents(self) -> np.ndarray:
         return self.context._exps[:self.coeffs.shape[-1]]
@@ -531,6 +646,10 @@ class _JetArray:
         return self._masked(self._exponents()[:, self.context.normal_index] == 0)
 
     def depends_on_xi(self, tol: float = ZERO_COEFF_TOL) -> bool:
+        """Whether a coefficient over ``tol`` carries xi: any coefficient
+        at a nonzero degree, else any with hyperplane-offset content."""
+        if self.degree:
+            return bool(np.any(np.abs(self.coeffs) > tol))
         xi_mask = self._exponents()[:, self.context.dimension:].sum(axis=1) > 0
         return bool(np.any(np.abs(np.where(xi_mask, self.coeffs, 0.0)) > tol))
 
@@ -549,12 +668,14 @@ class Jet(_JetArray):
     """One truncated Taylor expansion tied to a :class:`JetContext`.
 
     ``coeffs`` holds exactly the coefficients of degree <= ``accuracy``; a
-    longer vector is cut to that prefix.
+    longer vector is cut to that prefix.  ``degree`` is the homogeneity
+    degree in xi.
     """
 
     __slots__ = ()
 
-    def __init__(self, context: JetContext, coeffs: np.ndarray, accuracy: int):
+    def __init__(self, context: JetContext, coeffs: np.ndarray, accuracy: int,
+                 degree: int = 0):
         accuracy = _trusted(context, accuracy)
         size = context.sizes[accuracy]
         if len(coeffs) < size:
@@ -563,6 +684,7 @@ class Jet(_JetArray):
         self.context = context
         self.coeffs = coeffs[:size]
         self.accuracy = accuracy
+        self.degree = degree
 
     # -- constructors -------------------------------------------------
 
@@ -587,17 +709,27 @@ class Jet(_JetArray):
         return cls.variable(context, context.x_index(j))
 
     @classmethod
-    def xi_offset(cls, context: JetContext, alpha: int) -> "Jet":
-        return cls.variable(context, context.xi_index(alpha))
+    def xi_offset(cls, context: JetContext, k: int) -> "Jet":
+        """The hyperplane offset t_k (degree 0)."""
+        return cls.variable(context, context.xi_index(k))
 
     @classmethod
-    def xi_component(cls, context: JetContext, alpha: int) -> "Jet":
-        """The covector component xi_alpha = xi0_alpha + offset variable."""
-        return cls.xi_offset(context, alpha) + context.base_covector[alpha]
+    def xi_component(cls, context: JetContext, a: int) -> "Jet":
+        """The covector component xi_a = xi0_a + sum_k E_ak t_k (degree 1)."""
+        _require_full(context)
+        if not 0 <= a < context.dimension - 1:
+            raise ValueError(f"covector index out of range: {a}")
+        row = context.hyperplane_basis[a]
+        coefficients = {(0,) * context.nvars: context.base_covector[a]}
+        for k in range(context.dimension - 2):
+            exps = [0] * context.nvars
+            exps[context.xi_index(k)] = 1
+            coefficients[tuple(exps)] = row[k]
+        return cls.from_coefficients(context, coefficients, degree=1)
 
     @classmethod
     def from_coefficients(cls, context: JetContext, coefficients,
-                          accuracy=None) -> "Jet":
+                          accuracy=None, degree: int = 0) -> "Jet":
         """Jet of a sparse coefficient map, trusted to ``accuracy`` (default: K).
 
         The vector has exactly ``context.sizes[accuracy]`` entries;
@@ -612,7 +744,7 @@ class Jet(_JetArray):
             pos = context.monomial_position(exps)
             if pos < size:
                 c[pos] = complex(value)
-        return cls._wrap(context, c, accuracy)
+        return cls._wrap(context, c, accuracy, degree)
 
     # -- views ---------------------------------------------------------
 
@@ -631,22 +763,24 @@ class Jet(_JetArray):
                 if abs(v) > tol}
 
     def substitute_xi(self, values) -> "Jet":
-        """Evaluate the cotangent offsets at numeric values, keep x symbolic."""
+        """The value at the covector xi0 + E t for numeric offsets t, as a
+        jet in x (degree 0); x stays symbolic."""
         ctx = self.context
+        _require_full(ctx)
         values = np.asarray(values, dtype=np.complex128)
-        if len(values) != ctx.dimension - 1:
-            raise ValueError("need one value per cotangent offset variable")
-        out = np.zeros_like(self.coeffs)
         n = ctx.dimension
+        if len(values) != n - 2:
+            raise ValueError("need one value per hyperplane offset variable")
+        out = np.zeros_like(self.coeffs)
         for m, v in zip(ctx.monomials, self.coeffs):
             if v == 0:
                 continue
             factor = 1.0 + 0.0j
-            for alpha in range(n - 1):
-                e = m[ctx.xi_index(alpha)]
+            for k in range(n - 2):
+                e = m[ctx.xi_index(k)]
                 if e:
-                    factor *= values[alpha] ** e
-            reduced = m[:n] + (0,) * (n - 1)
+                    factor *= values[k] ** e
+            reduced = m[:n] + (0,) * (n - 2)
             out[ctx._index[reduced]] += v * factor
         return Jet(ctx, out, self.accuracy)
 
@@ -655,15 +789,17 @@ class Jet(_JetArray):
         for m, v in list(self.coefficients(tol=ZERO_COEFF_TOL).items())[:6]:
             terms.append(f"{v:.3g}*{tuple(m)}")
         body = " + ".join(terms) if terms else "0"
-        return f"Jet({body}, accuracy={self.accuracy})"
+        return f"Jet({body}, accuracy={self.accuracy}, degree={self.degree})"
 
 
 def reciprocal(a: Jet) -> Jet:
-    """Taylor inverse; requires a nonvanishing constant term."""
+    """Taylor inverse; requires a nonvanishing constant term.  The degree
+    is negated."""
     c0 = a.constant_term
     if not abs(c0) > APPROX_TOL:  # a NaN constant term fails too
         raise NotInvertible("jet not invertible: constant term vanishes")
     x = Jet.constant(a.context, 1.0 / c0, a.accuracy)
+    x.degree = -a.degree
     steps = max(1, math.ceil(math.log2(a.context.truncation_order + 1)))
     for _ in range(steps):
         x = x * (2.0 - a * x)
@@ -671,7 +807,10 @@ def reciprocal(a: Jet) -> Jet:
 
 
 def sqrt(a: Jet) -> Jet:
-    """Principal square root; the constant term must be real and positive."""
+    """Principal square root; the constant term must be real and positive.
+    The degree, which must be even, is halved."""
+    if a.degree % 2:
+        raise ValueError(f"no square root of homogeneity degree {a.degree}")
     c0 = a.constant_term
     # written so that a NaN constant term fails them
     if not abs(c0.imag) <= APPROX_TOL:
@@ -679,6 +818,7 @@ def sqrt(a: Jet) -> Jet:
     if not c0.real > APPROX_TOL:
         raise NotInvertible("jet square root requires a positive constant term")
     z = Jet.constant(a.context, 1.0 / math.sqrt(c0.real), a.accuracy)
+    z.degree = -a.degree // 2
     steps = max(1, math.ceil(math.log2(a.context.truncation_order + 1)))
     for _ in range(steps):
         z = z * (3.0 - a * z * z) * 0.5
@@ -686,12 +826,13 @@ def sqrt(a: Jet) -> Jet:
 
 
 class JetMatrix(_JetArray):
-    """Matrix of jets on one chart, all trusted to one accuracy.
+    """Matrix of jets on one chart, all trusted to one accuracy and of one
+    degree.
 
     ``coeffs`` is one read-only array of shape (rows, cols,
     ``sizes[accuracy]``); ``m[i, j]`` is a read-only :class:`Jet` view of
     an entry.  A matrix built from jets of several accuracies is trusted
-    to the lowest.
+    to the lowest; its nonzero entries must share one degree.
     """
 
     __slots__ = ()
@@ -703,15 +844,16 @@ class JetMatrix(_JetArray):
         coeffs = [[_coeffs_on(context, e) for e in row] for row in rows]
         self.context = context
         self.accuracy = min(e.accuracy for row in rows for e in row)
+        self.degree = _common_degree([e for row in rows for e in row])
         size = context.sizes[self.accuracy]
         self.coeffs = np.array([[c[:size] for c in row] for row in coeffs],
                                dtype=np.complex128)
         self.coeffs.flags.writeable = False
 
     @classmethod
-    def _wrap(cls, context, coeffs, accuracy):
+    def _wrap(cls, context, coeffs, accuracy, degree):
         coeffs.flags.writeable = False
-        return super()._wrap(context, coeffs, accuracy)
+        return super()._wrap(context, coeffs, accuracy, degree)
 
     @classmethod
     def zeros(cls, context: JetContext, rows: int, cols: int) -> "JetMatrix":
@@ -745,9 +887,10 @@ class JetMatrix(_JetArray):
         try:
             i, j = key
         except TypeError:  # an int: entry reads stay free of the check
-            return tuple(Jet._wrap(self.context, c, self.accuracy)
+            return tuple(Jet._wrap(self.context, c, self.accuracy, self.degree)
                          for c in self.coeffs[key])
-        return Jet._wrap(self.context, self.coeffs[i, j], self.accuracy)
+        return Jet._wrap(self.context, self.coeffs[i, j], self.accuracy,
+                         self.degree)
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         if self.cols != other.rows:
@@ -759,28 +902,29 @@ class JetMatrix(_JetArray):
         out = _product(ctx, a[:, :1], b[:1], acc)
         for k in range(1, self.cols):
             out += _product(ctx, a[:, k:k + 1], b[k:k + 1], acc)
-        return self._wrap(ctx, out, acc)
+        return self._wrap(ctx, out, acc, self.degree + other.degree)
 
     def transpose(self) -> "JetMatrix":
-        return self._wrap(self.context, self.coeffs.transpose(1, 0, 2),
-                          self.accuracy)
+        return self._like(self.coeffs.transpose(1, 0, 2))
 
     def symmetrized(self) -> "JetMatrix":
         """Each off-diagonal pair replaced by its mean; the diagonal kept as is."""
         out = self.coeffs.copy()
         i, j = np.triu_indices(self.rows, 1)
         out[i, j] = out[j, i] = (out[i, j] + out[j, i]) * 0.5
-        return self._wrap(self.context, out, self.accuracy)
+        return self._like(out)
 
     def __repr__(self):
-        return f"JetMatrix({self.rows}x{self.cols}, accuracy={self.accuracy})"
+        return (f"JetMatrix({self.rows}x{self.cols}, accuracy={self.accuracy}, "
+                f"degree={self.degree})")
 
 
 def mat_inverse(matrix: JetMatrix) -> JetMatrix:
     """Invert a square jet matrix by Newton iteration on the constant inverse.
 
     The constant-term matrix must be finite and numerically invertible; a
-    condition number above 1e8 triggers a warning diagnostic.
+    condition number above 1e8 triggers a warning diagnostic.  The degree
+    is negated.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("only square matrices can be inverted")
@@ -803,6 +947,7 @@ def mat_inverse(matrix: JetMatrix) -> JetMatrix:
         raise NotInvertible("matrix constant term is singular") from exc
     x = JetMatrix(ctx, [[Jet.constant(ctx, v, matrix.accuracy) for v in row]
                         for row in inv0])
+    x = JetMatrix._wrap(ctx, x.coeffs, x.accuracy, -matrix.degree)
     two_i = JetMatrix.identity(ctx, matrix.rows) * 2.0
     steps = max(1, math.ceil(math.log2(ctx.truncation_order + 1)))
     for _ in range(steps):

@@ -1,7 +1,7 @@
 """Layer-peeling recovery of the boundary metric from observed symbol levels.
 
 Order zero inverts the (n,n) entry of the principal level for the
-cotangent norm, whose exact Hessian in the offset variables is the inverse
+cotangent norm, whose exact Hessian in the covector is the inverse
 tangential metric.  Each higher order m then (i) extends the data
 recovered so far to a reference chart with zero normal derivatives of
 order m and above, (ii) reruns the forward engine on the reference for
@@ -122,14 +122,19 @@ def extract_quadratic(Q: Jet, tol: float = QUADRATICITY_TOL):
     """Read a quadratic form in the covector off a scalar jet.
 
     Returns the symmetric coefficient block as a matrix of jets on the
-    spatial chart (the exact half-Hessian in the offset variables, with no
-    cotangent content left) together with a diagnostics dict; the residual
-    after rebuilding the quadratic form must stay below ``tol``, otherwise
-    the input was not a quadratic form.
+    spatial chart (the exact half-Hessian in the covector, with no
+    cotangent content left) together with a diagnostics dict.  A form has
+    homogeneity degree 2, and the residual after rebuilding it must stay
+    below ``tol``, otherwise the input was not a quadratic form; for n = 2
+    every jet of degree 2 is one.
     """
     ctx = Q.context
     if Q.accuracy < 2:
         raise AccuracyExhausted("quadratic extraction needs accuracy >= 2")
+    if Q.degree != 2 and Q.coeffs.any():
+        raise ConsistencyError(
+            f"observed level inconsistent with quadratic-form model "
+            f"(homogeneity degree {Q.degree}, not 2)")
     nn = ctx.dimension - 1
     block = [[None] * nn for _ in range(nn)]
     for a in range(nn):
@@ -153,27 +158,37 @@ def extract_quadratic(Q: Jet, tol: float = QUADRATICITY_TOL):
 def extract_quadratic_sampled(Q: Jet):
     """Polarization cross-check: sample the form on covector pairs.
 
-    Evaluates the offset variables at e_a - xi0 and e_a + e_b - xi0 and
-    polarizes; returns the coefficient block as x-jets.  Less precise
-    than the Hessian route and used only as an optional diagnostic.
+    A sample v scales onto the hyperplane of the chart only when
+    v . xi0 != 0: then Q(v) = s^2 Q(xi0 + E t) with s = v . xi0 / |xi0|^2
+    and t = E^T v / s.  So the form is sampled in the basis u_0 = xi0/|xi0|,
+    u_k = u_0 + E_k, on which every sample and every pairwise sum has
+    v . xi0 >= |xi0|, polarized there, and brought back to the coordinate
+    basis.  Returns the coefficient block as x-jets.  Less precise than the
+    Hessian route and used only as an optional diagnostic.
     """
     ctx = Q.context
     nn = ctx.dimension - 1
     xi0 = np.array(ctx.base_covector)
+    basis = ctx.hyperplane_basis
+    u0 = xi0 / np.linalg.norm(xi0)
+    samples = np.column_stack([u0] + [u0 + basis[:, k] for k in range(nn - 1)])
 
     def value_at(covector):
-        return Q.substitute_xi(np.asarray(covector) - xi0)
+        s = covector @ xi0 / (xi0 @ xi0)
+        return Q.substitute_xi(basis.T @ covector / s) * s ** Q.degree
 
-    diag = [value_at(np.eye(nn)[a]) for a in range(nn)]
-    block = [[None] * nn for _ in range(nn)]
+    diag = [value_at(samples[:, a]) for a in range(nn)]
+    form = [[None] * nn for _ in range(nn)]
     for a in range(nn):
-        block[a][a] = diag[a]
+        form[a][a] = diag[a]
         for b in range(a + 1, nn):
-            both = value_at(np.eye(nn)[a] + np.eye(nn)[b])
-            off = (both - diag[a] - diag[b]) * 0.5
-            block[a][b] = off
-            block[b][a] = off
-    return JetMatrix(ctx, block)
+            both = value_at(samples[:, a] + samples[:, b])
+            form[a][b] = form[b][a] = (both - diag[a] - diag[b]) * 0.5
+    # Q(v) = v^T B v: the block in the u-basis is U^T B U
+    form = JetMatrix(ctx, form)
+    back = np.linalg.inv(samples)
+    return JetMatrix._wrap(ctx, np.einsum("ia,ijk,jb->abk", back, form.coeffs,
+                                          back), form.accuracy, 0)
 
 
 def _principal_norm(obs: ObservedSymbols) -> Jet:

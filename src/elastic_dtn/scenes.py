@@ -6,11 +6,13 @@ plus the requested recursion depth and optional tolerance overrides.
 
 File conventions (schema 1): complex numbers are ``[re, im]`` pairs, jet
 coefficient maps key canonical exponent strings ``"e1 e2 ... "`` (single
-spaces, no leading zeros) over the ``2n-1`` variables (the n x-variables
-first, then the n-1 cotangent offsets), and metric blocks key ``"a,b"``
-with 1-based indices ``a <= b``; symmetry is filled in.  Keys are always
-those of the full chart: a jet stored on the spatial chart (metric, Lame
-fields, recovered blocks) is written as its lift.
+spaces, no leading zeros), and metric blocks key ``"a,b"`` with 1-based
+indices ``a <= b``; symmetry is filled in.  A jet of x alone (metric, Lame
+fields, recovered blocks) keys ``2n-1`` exponents: the n x-variables, then
+n-1 cotangent exponents, which are zero.  A jet on the full chart, such as
+a symbol level of a schema-2 symbols document (:mod:`elastic_dtn.serialize`),
+keys its ``2n-2`` variables: the n x-variables, then the n-2 hyperplane
+offsets.
 
 Documents are written with sorted keys: with a two-space indent, or, for
 symbols documents, whose levels hold only their x_n = 0 coefficients, as
@@ -32,7 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LameJet, MetricJet
-from .jets import Jet, JetContext, JetMatrix, _basis, check_chart_shape
+from .jets import (
+    ZERO_COEFF_TOL,
+    Jet,
+    JetContext,
+    JetMatrix,
+    _basis,
+    check_chart_shape,
+)
 
 SCHEMA_VERSION = 1
 
@@ -91,35 +100,40 @@ def require_int(value, where: str, low: int, high: int | None = None) -> int:
 
 
 @functools.cache
-def _key_table(nvars: int, K: int):
-    """The canonical exponent keys of a chart shape, in basis order (an
-    object array), and the basis position of each key."""
-    keys = np.array([" ".join(map(str, m)) for m in _basis(nvars, K)[0]],
+def _key_table(nvars: int, K: int, pad: int):
+    """The canonical exponent keys of a chart shape, each followed by
+    ``pad`` zero exponents, in basis order (an object array), and the basis
+    position of each key."""
+    suffix = " 0" * pad
+    keys = np.array([" ".join(map(str, m)) + suffix for m in _basis(nvars, K)[0]],
                     dtype=object)
     return keys, {key: i for i, key in enumerate(keys.tolist())}
 
 
-def jet_to_map(jet: Jet, where: str = "jet") -> dict:
-    """The nonzero coefficients of ``jet`` keyed by their exponent strings.
+def _layout(chart: JetContext) -> tuple:
+    """(nvars, K, pad) of a chart's keys: a jet of x alone (on the spatial
+    chart) keys n - 1 zero cotangent exponents after its x-exponents."""
+    pad = 0 if chart.full is chart else chart.dimension - 1
+    return chart.nvars, chart.truncation_order, pad
 
-    A jet on a spatial chart is written under its full chart's keys.
-    """
-    jet = jet.lift(jet.context.full)
+
+def jet_to_map(jet: Jet, where: str = "jet") -> dict:
+    """The nonzero coefficients of ``jet`` keyed by their exponent strings."""
     c = jet.coeffs
     if not np.isfinite(c).all():
         raise SceneError(f"{where}: cannot write a coefficient that is not "
                          f"finite")
     nonzero = np.flatnonzero(c)
-    keys = _key_table(jet.context.nvars, jet.context.truncation_order)[0]
+    keys = _key_table(*_layout(jet.context))[0]
     values = c[nonzero]
     pairs = map(list, zip(values.real.tolist(), values.imag.tolist()))
     return dict(zip(keys[nonzero].tolist(), pairs))
 
 
-def _canonical_entries(context: JetContext, data: dict):
+def _canonical_entries(layout: tuple, data: dict):
     """(positions, values) of a map whose keys are all canonical and whose
     values are all finite ``[float, float]`` pairs; else None."""
-    index = _key_table(context.nvars, context.truncation_order)[1]
+    index = _key_table(*layout)[1]
     positions = list(map(index.get, data))
     if None in positions:
         return None
@@ -135,46 +149,61 @@ def _canonical_entries(context: JetContext, data: dict):
     return np.array(positions, dtype=np.int64), parts.view(np.complex128)[:, 0]
 
 
-def _parse_map(context: JetContext, data: dict, where: str) -> dict:
-    """Every entry of a coefficient map, validated: exponents -> complex.
+def _parsed_entries(layout: tuple, data: dict, where: str):
+    """(positions, values) of every entry of a coefficient map, validated.
 
     A key is written canonically, as the writer writes it, so no two keys
-    of one map name the same monomial.
+    of one map name the same monomial.  Padding exponents, the cotangent
+    exponents of a jet of x alone, may only carry coefficients of at most
+    ``ZERO_COEFF_TOL``, which are dropped.
     """
-    coeffs = {}
+    nvars, K, pad = layout
+    width = nvars + pad
+    index = _basis(nvars, K)[1]
+    positions, values = [], []
     for key, value in data.items():
         parts = key.split()
         exps = (tuple(map(int, parts))
                 if all(p.isdecimal() for p in parts) else ())
-        if len(exps) != context.nvars or " ".join(map(str, exps)) != key:
+        if len(exps) != width or " ".join(map(str, exps)) != key:
             raise SceneError(
-                f"{where}: bad exponent key {key!r} (need {context.nvars} "
+                f"{where}: bad exponent key {key!r} (need {width} "
                 f"non-negative integers, single-spaced, no leading zeros)")
-        if sum(exps) > context.truncation_order:
+        if sum(exps) > K:
             raise SceneError(
-                f"{where}: exponent key {key!r} exceeds truncation order "
-                f"{context.truncation_order}")
-        coeffs[exps] = complex_from_json(value, f"{where}[{key!r}]")
-    return coeffs
+                f"{where}: exponent key {key!r} exceeds truncation order {K}")
+        value = complex_from_json(value, f"{where}[{key!r}]")
+        if any(exps[nvars:]):
+            if abs(value) > ZERO_COEFF_TOL:
+                raise SceneError(f"{where}: exponent key {key!r} names a "
+                                 f"cotangent variable of a jet of x alone")
+            continue
+        positions.append(index[exps[:nvars]])
+        values.append(value)
+    return (np.array(positions, dtype=np.int64),
+            np.array(values, dtype=np.complex128))
 
 
-def jet_from_map(context: JetContext, data: dict, where: str = "jet",
-                 accuracy: int | None = None) -> Jet:
-    """The jet of a coefficient map, trusted to ``accuracy`` (default: K).
+def map_entries(layout: tuple, data, where: str):
+    """(basis positions, values) of a coefficient map over ``layout``.
 
     Canonical keys with finite ``[re, im]`` float pairs, the form every
-    document is written in, are looked up in the chart's key table; any
+    document is written in, are looked up in the layout's key table; any
     other map goes through the parser, which accepts or reports it.
     """
     if not isinstance(data, dict):
         raise SceneError(f"{where}: expected a coefficient map, got {type(data).__name__}")
-    entries = _canonical_entries(context, data)
-    if entries is None:
-        return Jet.from_coefficients(context, _parse_map(context, data, where),
-                                     accuracy)
-    positions, values = entries
+    entries = _canonical_entries(layout, data)
+    return entries if entries is not None else _parsed_entries(layout, data, where)
+
+
+def jet_from_map(context: JetContext, data: dict, where: str = "jet",
+                 accuracy: int | None = None) -> Jet:
+    """The jet of a coefficient map on ``context``, trusted to ``accuracy``
+    (default: K); coefficients above it are dropped."""
+    positions, values = map_entries(_layout(context), data, where)
     jet = Jet.from_coefficients(context, {}, accuracy)
-    keep = positions < len(jet.coeffs)  # coefficients above it are dropped
+    keep = positions < len(jet.coeffs)
     jet.coeffs[positions[keep]] = values[keep]
     return jet
 
@@ -224,6 +253,7 @@ def metric_from_json(context: JetContext, data: dict) -> MetricJet:
         raise SceneError(f"metric: expected an object of 'a,b' entries, "
                          f"got {type(data).__name__}")
     n = context.dimension
+    context = context.spatial
     zero = Jet.zero(context)
     entries = [[zero for _ in range(n - 1)] for _ in range(n - 1)]
     seen = set()
@@ -246,8 +276,8 @@ def metric_from_json(context: JetContext, data: dict) -> MetricJet:
 
 def lame_from_json(context: JetContext, lam_map: dict, mu_map: dict,
                    where: str) -> LameJet:
-    lam = jet_from_map(context, lam_map, where="lambda")
-    mu = jet_from_map(context, mu_map, where="mu")
+    lam = jet_from_map(context.spatial, lam_map, where="lambda")
+    mu = jet_from_map(context.spatial, mu_map, where="mu")
     try:
         return LameJet(lam, mu)
     except ValueError as exc:
@@ -341,13 +371,12 @@ def load_scene(path) -> SceneConfig:
 def _random_spatial_jet(context: JetContext, rng, degree: int,
                         amplitude: float) -> Jet:
     coeffs = {}
-    n = context.dimension
-    for m in context.monomials:
+    for m in context.spatial.monomials:
         d = sum(m)
-        if d == 0 or d > degree or any(m[n:]):
+        if d == 0 or d > degree:
             continue
         coeffs[m] = rng.uniform(-amplitude, amplitude) * 0.5 ** (d - 1)
-    return Jet.from_coefficients(context, coeffs)
+    return Jet.from_coefficients(context.spatial, coeffs)
 
 
 def random_scene(seed: int, dimension: int = 2, truncation_order: int = 6,
@@ -370,7 +399,7 @@ def random_scene(seed: int, dimension: int = 2, truncation_order: int = 6,
             jet = jet + const[a][b]
             entries[a][b] = jet
             entries[b][a] = jet
-    metric = MetricJet(context, entries)
+    metric = MetricJet(context.spatial, entries)
 
     lam = _random_spatial_jet(context, rng, degree, amplitude * 0.6) \
         + rng.uniform(0.3, 1.2)

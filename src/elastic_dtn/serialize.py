@@ -1,9 +1,28 @@
-"""Document schemas for symbol-level and recovered-data files (schema 1)."""
+"""Document schemas for symbol-level and recovered-data files.
+
+Symbols documents are schema 2.  A level of degree d is stored as its jet
+on the hyperplane of the chart, xi = xi0 + E t (see :mod:`elastic_dtn.jets`),
+restricted to x_n = 0: its keys are n x-exponents, then n - 2 exponents of
+the offsets t.  The material jets keep the keys of jets of x alone.  The
+chart fixes E: with u = xi0/|xi0| and p the first index of the largest
+|u_p|, the Householder reflection H = I - 2 w w^T / (w^T w), w = u +
+sign(u_p) e_p, maps u to -sign(u_p) e_p, and E is the columns j != p of H
+in increasing order, an orthonormal basis of the complement of xi0.
+
+Schema-1 symbols documents key each level over x and the cotangent offsets
+eta = xi - xi0 (2n - 1 exponents).  They load restricted to x_n = 0 and to
+the hyperplane by the linear substitution eta = E t, which keeps the
+degree of every monomial, and so the accuracy.
+
+Recovered documents are schema 1.
+"""
 
 from __future__ import annotations
 
+import numpy as np
+
 from .geometry import LameJet
-from .jets import JetContext, JetMatrix
+from .jets import JetContext, JetMatrix, _basis
 from .recovery import ObservedSymbols, RecoveredBoundaryData
 from .scenes import (
     SCHEMA_VERSION,
@@ -15,9 +34,12 @@ from .scenes import (
     jet_from_map,
     jet_to_map,
     lame_from_json,
+    map_entries,
     require_int,
 )
 from .symbols import SymbolLevels
+
+SYMBOLS_SCHEMA = 2
 
 
 def _matrix_to_json(matrix: JetMatrix, where: str) -> list:
@@ -25,16 +47,68 @@ def _matrix_to_json(matrix: JetMatrix, where: str) -> list:
              for j in range(matrix.cols)] for i in range(matrix.rows)]
 
 
-def _matrix_from_json(context: JetContext, data, where: str,
-                      accuracy: int | None) -> JetMatrix:
-    n = context.dimension
+def _substitution(chart: JetContext, accuracy: int):
+    """eta = E t on the x_n-free monomials of schema-1 levels of degree
+    <= ``accuracy``: (source position, target position, factor) arrays,
+    one entry per term of each expanded monomial."""
+    n = chart.dimension
+    basis = chart.hyperplane_basis
+    _, _, _, exps, sizes = _basis(2 * n - 1, chart.truncation_order)
+    # prod_a (sum_k E_ak t_k)^(beta_a) for every eta-exponent beta met
+    powers = {(0,) * (n - 1): {(0,) * (n - 2): 1.0}}
+
+    def power(beta):
+        if beta not in powers:
+            a = next(i for i, e in enumerate(beta) if e)
+            lower = power(beta[:a] + (beta[a] - 1,) + beta[a + 1:])
+            out = {}
+            for gamma, c in lower.items():
+                for k in np.flatnonzero(basis[a]):
+                    key = gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:]
+                    out[key] = out.get(key, 0.0) + c * basis[a, k]
+            powers[beta] = out
+        return powers[beta]
+
+    src, dst, factor = [], [], []
+    for i, e in enumerate(exps[:sizes[accuracy]].tolist()):
+        if e[n - 1]:
+            continue
+        for gamma, c in power(tuple(e[n:])).items():
+            src.append(i)
+            dst.append(chart.monomial_position(tuple(e[:n]) + gamma))
+            factor.append(c)
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), \
+        np.array(factor)
+
+
+def _level_from_json(chart: JetContext, data, where: str, accuracy: int,
+                     degree: int, schema: int) -> JetMatrix:
+    """A level of degree ``degree`` at x_n = 0, from its n x n array of
+    jet maps in a document of ``schema``."""
+    n = chart.dimension
     if (not isinstance(data, list) or len(data) != n
             or any(not isinstance(row, list) or len(row) != n for row in data)):
         raise SceneError(f"{where}: expected a {n}x{n} array of jet maps")
-    entries = [[jet_from_map(context, data[i][j], where=f"{where}[{i}][{j}]",
-                             accuracy=accuracy)
-                for j in range(n)] for i in range(n)]
-    return JetMatrix(context, entries)
+    if schema == SYMBOLS_SCHEMA:
+        coeffs = JetMatrix(chart, [[
+            jet_from_map(chart, data[i][j], where=f"{where}[{i}][{j}]",
+                         accuracy=accuracy)
+            for j in range(n)] for i in range(n)]).coeffs
+    else:
+        layout = (2 * n - 1, chart.truncation_order, 0)
+        legacy = np.zeros((n, n, _basis(*layout[:2])[4][accuracy]),
+                          dtype=np.complex128)
+        for i in range(n):
+            for j in range(n):
+                positions, values = map_entries(layout, data[i][j],
+                                                f"{where}[{i}][{j}]")
+                keep = positions < legacy.shape[-1]
+                legacy[i, j, positions[keep]] = values[keep]
+        src, dst, factor = _substitution(chart, accuracy)
+        coeffs = np.zeros((n, n, chart.sizes[accuracy]), dtype=np.complex128)
+        np.add.at(coeffs, (slice(None), slice(None), dst),
+                  legacy[..., src] * factor)
+    return JetMatrix._wrap(chart, coeffs, accuracy, degree).at_boundary()
 
 
 def _accuracy_map(accuracy, chart: JetContext, where: str, keys) -> dict:
@@ -53,13 +127,14 @@ def _accuracy_map(accuracy, chart: JetContext, where: str, keys) -> dict:
 
 def symbols_to_json(levels: SymbolLevels, lame: LameJet,
                     chart: JetContext) -> dict:
-    """The symbols document of ``levels``, each level restricted to x_n = 0.
+    """The schema-2 symbols document of ``levels``, each level restricted
+    to x_n = 0.
 
     The DtN symbol is a boundary symbol: recovery reads every level only
     at x_n = 0, so no other coefficient is written.
     """
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": SYMBOLS_SCHEMA,
         "kind": levels.kind,
         "chart": context_to_json(chart),
         "levels": {str(d): _matrix_to_json(m.at_boundary(), f"level {d}")
@@ -71,15 +146,16 @@ def symbols_to_json(levels: SymbolLevels, lame: LameJet,
 
 
 def observed_from_json(data: dict) -> ObservedSymbols:
-    """The observed levels of a symbols document, restricted to x_n = 0.
+    """The observed levels of a schema-2 or schema-1 symbols document,
+    restricted to x_n = 0.
 
     Documents that store whole x_n-expansions load to the same levels.
     """
     if not isinstance(data, dict):
         raise SceneError("symbols document: expected a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise SceneError(
-            f"symbols document: unsupported schema {data.get('schema')!r}")
+    schema = data.get("schema")
+    if not (schema == SYMBOLS_SCHEMA or schema == 1):
+        raise SceneError(f"symbols document: unsupported schema {schema!r}")
     for key in ("kind", "chart", "levels", "accuracy", "lame"):
         if key not in data:
             raise SceneError(f"symbols document: missing key {key!r}")
@@ -98,9 +174,8 @@ def observed_from_json(data: dict) -> ObservedSymbols:
         # canonical keys only: "+1", " 1" and "01" would also name level 1
         if degree is None or str(degree) != key:
             raise SceneError(f"symbols document: bad level key {key!r}")
-        levels[degree] = _matrix_from_json(
-            chart, block, where=f"level {key}",
-            accuracy=accuracy[key]).at_boundary()
+        levels[degree] = _level_from_json(
+            chart, block, f"level {key}", accuracy[key], degree, schema)
     try:
         parsed = SymbolLevels(data["kind"], levels)
     except ValueError as exc:
@@ -157,13 +232,13 @@ def recovered_from_json(data: dict) -> RecoveredBoundaryData:
         rows = [[None] * nn for _ in range(nn)]
         for key, jet_map in doc.items():
             a, b = block_key(key, nn, where)
-            jet = jet_from_map(chart, jet_map, where=f"{where}[{key!r}]",
-                               accuracy=acc)
+            jet = jet_from_map(chart.spatial, jet_map,
+                               where=f"{where}[{key!r}]", accuracy=acc)
             rows[a - 1][b - 1] = jet
             rows[b - 1][a - 1] = jet
         if any(e is None for row in rows for e in row):
             raise SceneError(f"{where}: incomplete block")
-        return JetMatrix(chart, rows)
+        return JetMatrix(chart.spatial, rows)
 
     g_inv = block_from_json(data["g_inv"], "g_inv", accuracy["g_inv"])
     derivs = []

@@ -5,8 +5,11 @@ of the tangential part of the operator splits into homogeneous levels
 (b_1, b_0 for the first-order block; c_2, c_1, c_0 for the rest), the
 half-space factorization produces the recursion for the factor levels
 q_1, q_0, q_{-1}, ..., and the boundary operator's levels p_1, p_0, ...
-follow.  Levels are jets centered at the base covector, so homogeneity is
-not represented structurally; each level is an independent jet.
+follow.  Each level is a classical symbol, positively homogeneous in the
+covector, and is stored structurally so: as its jet on the hyperplane
+through the base covector xi0 orthogonal to it, with its homogeneity
+degree (see :mod:`elastic_dtn.jets`).  The level of degree d has degree d;
+derivatives in xi follow from Euler's relation.
 
 The levels b_1, c_2 and c_1 are transcribed here as functions of the
 cotangent variable, independently of the differential-operator
@@ -455,7 +458,7 @@ def plane_wave_consistency(ctx: SymbolContext) -> dict:
 
     Applies the first-order and tangential operator blocks to plane waves
     v * exp(i <x', xi0>) for basis vectors v and checks the base-point
-    values against (b1 + b0) v and (c2 + c1 + c0) v.  Exact for
+    values against (b1 + b0) v and (c2 + c1 + c0) v at xi0.  Exact for
     differential operators up to roundoff.
     """
     from .geometry import apply_B, apply_C
@@ -464,8 +467,9 @@ def plane_wave_consistency(ctx: SymbolContext) -> dict:
     n = chart.dimension
     geo, lame = ctx.geo, ctx.lame
     wave = _plane_wave(chart)
-    b_total = ctx.b1 + ctx.b0
-    c_total = ctx.c2 + ctx.c1 + ctx.c0
+    # the levels have different degrees, so their values at xi0 are added
+    b_total = ctx.b1.coeffs[..., 0] + ctx.b0.coeffs[..., 0]
+    c_total = ctx.c2.coeffs[..., 0] + ctx.c1.coeffs[..., 0] + ctx.c0.coeffs[..., 0]
     b_residual = 0.0
     c_residual = 0.0
     for j in range(n):
@@ -475,9 +479,9 @@ def plane_wave_consistency(ctx: SymbolContext) -> dict:
         op_c = apply_C(field, geo, lame)
         for k in range(n):
             b_residual = max(b_residual, abs(op_b[k, 0].constant_term
-                                             - b_total[k, j].constant_term))
+                                             - b_total[k, j]))
             c_residual = max(c_residual, abs(op_c[k, 0].constant_term
-                                             - c_total[k, j].constant_term))
+                                             - c_total[k, j]))
     return {
         "b_residual": b_residual,
         "c_residual": c_residual,

@@ -88,15 +88,31 @@ def poly_eval(a, point):
 
 
 def evaluate(jet, x=(), xi_offset=()):
-    """Value of a jet at x and the cotangent offsets, zero where not given.
+    """Value of a jet at x and the hyperplane offsets t, zero where not
+    given.
 
     Reads only the sparse coefficient map, whose keys on a spatial chart
-    have no cotangent exponents.
+    have no offset exponents.
     """
     n = jet.context.dimension
     point = (list(x) + [0.0] * (n - len(x))
-             + list(xi_offset) + [0.0] * (n - 1 - len(xi_offset)))
+             + list(xi_offset) + [0.0] * (n - 2 - len(xi_offset)))
     return poly_eval(jet.coefficients(), point)
+
+
+def homogeneous_value(jet, x, covector):
+    """Value at (x, covector) of the function a hyperplane jet stands for,
+    extended by homogeneity: f(v) = s^d f(xi0 + E t) for v = s (xi0 + E t).
+
+    Needs v . xi0 > 0.  Only the chart's base covector and its basis E of
+    the complement are read, besides the coefficient map.
+    """
+    xi0 = [float(v) for v in jet.context.base_covector]
+    basis = jet.context.hyperplane_basis
+    s = sum(v * w for v, w in zip(covector, xi0)) / sum(w * w for w in xi0)
+    t = [sum(covector[a] * basis[a][k] for a in range(len(xi0))) / s
+         for k in range(len(xi0) - 1)]
+    return s ** jet.degree * evaluate(jet, x=x, xi_offset=t)
 
 
 def jet_to_poly(jet):

@@ -283,7 +283,9 @@ def test_criterion_10_cli_contract(tmp_path):
     ok &= main(["forward", "--config", str(cfg), "--order", "5",
                 "--out", str(tmp_path / "x.json")]) == 3
     corrupted = json.loads(a.read_text())
-    corrupted["levels"]["1"][1][1]["0 0 3"] = [0.05, 0.0]
+    # an imaginary tangential term in the principal corner fails the
+    # imaginary gate of order 0
+    corrupted["levels"]["1"][1][1]["1 0"] = [0.0, 0.05]
     bad_path.write_text(json.dumps(corrupted))
     ok &= main(["recover", "--symbols", str(bad_path), "--order", "1",
                 "--out", str(tmp_path / "x.json")]) == 4

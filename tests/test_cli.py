@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from elastic_dtn.serialize import (
     symbols_to_json,
 )
 from elastic_dtn.symbols import build_context, dtn_symbols
+
+from roundtrip_utils import rel_err, true_inverse_derivatives
 
 
 def write_scene(path, metric=None, lam=1.0, mu=1.0, n=2, K=6, order=2,
@@ -49,7 +52,7 @@ def test_forward_euclidean_zero_lower_levels(tmp_path):
     out = tmp_path / "symbols.json"
     assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == 1 and doc["kind"] == "p"
+    assert doc["schema"] == 2 and doc["kind"] == "p"
     assert sorted(doc["levels"], key=int) == ["-2", "-1", "0", "1"]
     for level in ("0", "-1", "-2"):
         for row in doc["levels"][level]:
@@ -64,7 +67,7 @@ def test_forward_curved_scene_quarter(tmp_path):
     assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     corner = doc["levels"]["0"][1][1]
-    assert abs(complex(*corner["0 0 0"]) - 0.25) < 1e-12
+    assert abs(complex(*corner["0 0"]) - 0.25) < 1e-12
 
 
 def test_forward_rejects_malformed_metric_key(tmp_path, capsys):
@@ -129,12 +132,16 @@ def test_recover_missing_level_exit(tmp_path, capsys):
 
 
 def test_recover_quadraticity_gate_exit(tmp_path):
-    cfg = write_scene(tmp_path / "scene.json", order=1)
+    one = {"0 0 0 0 0": 1.0}
+    cfg = write_scene(tmp_path / "scene.json", n=3, order=1,
+                      metric={"1,1": one, "2,2": one})
     sym = tmp_path / "symbols.json"
     main(["forward", "--config", str(cfg), "--out", str(sym)])
     doc = json.loads(sym.read_text())
-    # cubic contamination of the principal corner breaks the form model
-    doc["levels"]["1"][1][1]["0 0 3"] = [0.05, 0.0]
+    # cubic contamination in the hyperplane offset of the principal corner
+    # breaks the form model (for n = 2 the hyperplane is a point, and every
+    # level of degree 2 is a form)
+    doc["levels"]["1"][2][2]["0 0 0 3"] = [0.05, 0.0]
     sym.write_text(json.dumps(doc))
     assert main(["recover", "--symbols", str(sym), "--order", "1",
                  "--out", str(tmp_path / "r.json")]) == 4
@@ -217,7 +224,7 @@ def test_oversized_chart_rejected_before_any_table(tmp_path, capsys):
                  ["recover", "--symbols", str(big_symbols)],
                  ["roundtrip", "--seed", "1", "--truncation", "99"],
                  ["verify", "--seed", "1", "--dimension", "4",
-                  "--truncation", "8"]):
+                  "--truncation", "9"]):
         assert main(argv + ["--out", out]) == 2, argv
         assert "product pairs" in capsys.readouterr().err, argv
     assert [b.cache_info().currsize for b in builders] == tables
@@ -647,3 +654,34 @@ def test_forward_writes_one_compact_line_of_boundary_levels(tmp_path):
     assert keys and all(key.split()[normal] == "0" for key in keys)
     # the material jets keep their x_n-expansion: reference runs read it
     assert any(key.split()[normal] != "0" for key in doc["lame"]["mu"])
+
+
+@pytest.mark.parametrize("n, K, order, seed", [(2, 6, 3, 3), (3, 4, 1, 5)])
+def test_schema1_documents_recover_on_the_hyperplane(tmp_path, n, K, order,
+                                                     seed):
+    """A symbols document written before levels were stored on the
+    hyperplane (schema 1, levels over x and eta = xi - xi0) recovers to the
+    blocks of the schema-2 document of the same scene, to roundoff, with
+    the same accuracies, with and without --cross-check."""
+    old = (Path(__file__).resolve().parent / "data"
+           / f"symbols-schema1-{n}-{K}-{order}-seed{seed}.json")
+    assert json.loads(old.read_text())["schema"] == 1
+    scene = random_scene(seed, dimension=n, truncation_order=K, order=order)
+    cfg, new = tmp_path / "scene.json", tmp_path / "symbols.json"
+    cfg.write_text(canonical_json(scene_to_json(scene)))
+    assert main(["forward", "--config", str(cfg), "--out", str(new)]) == 0
+    truth = true_inverse_derivatives(scene, order)
+    for flags in ([], ["--cross-check"]):
+        blocks = []
+        for symbols in (old, new):
+            out = tmp_path / "recovered.json"
+            assert main(["recover", "--symbols", str(symbols), "--order",
+                         str(order), "--out", str(out), *flags]) == 0
+            data = recovered_from_json(json.loads(out.read_text()))
+            blocks.append([data.g_inv, *data.normal_derivs])
+        for m, (a, b) in enumerate(zip(*blocks)):
+            assert a.accuracy == b.accuracy
+            assert (a - b).max_abs() <= 1e-13, (flags, m)
+            for i in range(n - 1):
+                for j in range(n - 1):
+                    assert rel_err(a[i, j], truth[m][i, j]) <= 1e-13

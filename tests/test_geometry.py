@@ -34,7 +34,7 @@ def metric_exp_2xn(K=6):
     import math
 
     ctx = JetContext(2, K, (1.0,))
-    coeffs = {(0, d, 0): 2.0 ** d / math.factorial(d) for d in range(K + 1)}
+    coeffs = {(0, d): 2.0 ** d / math.factorial(d) for d in range(K + 1)}
     return ctx, MetricJet(ctx, [[Jet.from_coefficients(ctx, coeffs)]])
 
 
@@ -306,9 +306,13 @@ def test_metric_validation():
         MetricJet(ctx, [[Jet.constant(ctx, -1.0)]])  # not positive definite
     with pytest.raises(ValueError):
         MetricJet(ctx, [[Jet.constant(ctx, 1.0j)]])  # not real
-    with pytest.raises(ValueError):
-        MetricJet(ctx, [[1 + Jet.xi_offset(ctx, 0)]])  # cotangent dependence
+    with pytest.raises(ValueError, match="cotangent"):
+        MetricJet(ctx, [[Jet.xi_component(ctx, 0)]])  # homogeneous of degree 1
     ctx3 = JetContext(3, 3, (1.0, 1.0))
+    one = Jet.constant(ctx3, 1.0)
+    zero = Jet.zero(ctx3)
+    with pytest.raises(ValueError, match="cotangent"):
+        MetricJet(ctx3, [[one + Jet.xi_offset(ctx3, 0), zero], [zero, one]])
     one, big = Jet.constant(ctx3, 1.0), Jet.constant(ctx3, 1e308)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="positive definite"):

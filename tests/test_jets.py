@@ -19,6 +19,7 @@ from elastic_dtn import (
 from oracles import (
     assert_poly_close,
     evaluate,
+    homogeneous_value,
     jet_to_poly,
     poly_mul,
     poly_partial,
@@ -55,10 +56,12 @@ def test_context_validation():
 
 
 def test_chart_size_budget():
-    # (4, 7) is the largest chart in use, with C(21, 14) = 116,280 pairs;
-    # (4, 8) would need 319,770
+    # a chart of n has 2n - 2 variables: (4, 7), the largest chart in use,
+    # needs C(19, 12) = 50,388 pairs and (4, 8) C(20, 12) = 125,970;
+    # (4, 9) would need 293,930
     JetContext(4, 7, (1.0, 1.0, 1.0))
-    for n, K in ((4, 8), (2, 99), (2, 10**100)):
+    JetContext(4, 8, (1.0, 1.0, 1.0))
+    for n, K in ((4, 9), (2, 99), (2, 10**100)):
         with pytest.raises(ValueError, match="product pairs"):
             JetContext(n, K, (1.0,) * (n - 1))
     with pytest.raises(ValueError, match="product pairs"):
@@ -76,8 +79,7 @@ def test_mul_polynomial_identity():
     ctx = make_context()
     xn = Jet.x_var(ctx, 1)
     prod = (1 + xn) * (1 + xn)
-    expected = Jet.from_coefficients(
-        ctx, {(0, 0, 0): 1, (0, 1, 0): 2, (0, 2, 0): 1})
+    expected = Jet.from_coefficients(ctx, {(0, 0): 1, (0, 1): 2, (0, 2): 1})
     assert prod.allclose(expected)
 
 
@@ -89,12 +91,12 @@ def test_mul_identity_element():
 
 
 def test_mul_complex_offset_variables():
-    # (x1 + i*xih1)(x1 - i*xih1) = x1^2 + xih1^2 with xih the offset variable
-    ctx = make_context()
+    # (x1 + i*t1)(x1 - i*t1) = x1^2 + t1^2 with t1 the hyperplane offset
+    ctx = make_context(n=3, xi0=(1.0, 0.5))
     x1 = Jet.x_var(ctx, 0)
     xi = Jet.xi_offset(ctx, 0)
     prod = (x1 + 1j * xi) * (x1 - 1j * xi)
-    expected = Jet.from_coefficients(ctx, {(2, 0, 0): 1, (0, 0, 2): 1})
+    expected = Jet.from_coefficients(ctx, {(2, 0, 0, 0): 1, (0, 0, 0, 2): 1})
     assert prod.allclose(expected)
 
 
@@ -314,7 +316,7 @@ def test_reciprocal_geometric_series():
     xn = Jet.x_var(ctx, 1)
     inv = reciprocal(1 + xn)
     expected = Jet.from_coefficients(
-        ctx, {(0, d, 0): (-1.0) ** d for d in range(6)})
+        ctx, {(0, d): (-1.0) ** d for d in range(6)})
     assert inv.allclose(expected)
     assert reciprocal(Jet.constant(ctx, 1.0)).allclose(1.0)
 
@@ -330,7 +332,7 @@ def test_sqrt_binomial_series_and_roundtrip():
     assert sqrt(Jet.constant(ctx, 4.0)).allclose(2.0)
     xn = Jet.x_var(ctx, 1)
     s = sqrt(1 + xn)
-    coeffs = {(0, 0, 0): 1.0, (0, 1, 0): 0.5, (0, 2, 0): -0.125}
+    coeffs = {(0, 0): 1.0, (0, 1): 0.5, (0, 2): -0.125}
     for exps, v in coeffs.items():
         assert abs(s.coefficient(exps) - v) < 1e-14
     rng = np.random.default_rng(11)
@@ -392,11 +394,11 @@ def test_with_accuracy_drops_or_zero_extends():
     ctx = make_context(n=2, K=6)
     rng = np.random.default_rng(12)
     a = random_jet(ctx, rng, degree=6)
-    assert a.coefficient((0, 3, 0)) != 0
+    assert a.coefficient((0, 3)) != 0
     low = a.with_accuracy(2)
     assert low.accuracy == 2 and len(low.coeffs) == ctx.sizes[2]
     assert np.array_equal(low.coeffs, a.coeffs[:ctx.sizes[2]])
-    assert low.coefficient((0, 3, 0)) == 0
+    assert low.coefficient((0, 3)) == 0
     high = low.with_accuracy(5)
     assert high.accuracy == 5 and len(high.coeffs) == ctx.sizes[5]
     assert np.array_equal(high.coeffs[:ctx.sizes[2]], low.coeffs)
@@ -410,7 +412,7 @@ def test_negative_accuracy_rejected():
     for make in (lambda: Jet(ctx, a.coeffs, -1), lambda: a.with_accuracy(-1)):
         with pytest.raises(ValueError, match="accuracy must be >= 0"):
             make()
-    with pytest.raises(ValueError, match="needs 10 coefficients"):
+    with pytest.raises(ValueError, match="needs 6 coefficients"):
         Jet(ctx, a.coeffs[:4], 2)
 
 
@@ -439,20 +441,105 @@ def test_finite_difference_matches_partial():
         fd = (evaluate(a, x=h * evec) - evaluate(a, x=-h * evec)) / (2 * h)
         exact = a.partial(var).constant_term
         assert abs(fd - exact) < 1e-6
-    fd_xi = (evaluate(a, xi_offset=[h]) - evaluate(a, xi_offset=[-h])) / (2 * h)
-    assert abs(fd_xi - a.dxi(0).constant_term) < 1e-6
+    ctx3 = make_context(n=3, K=6, xi0=(1.0, -0.5))
+    b = random_jet(ctx3, rng, degree=4, complex_coeffs=False)
+    fd_t = (evaluate(b, xi_offset=[h]) - evaluate(b, xi_offset=[-h])) / (2 * h)
+    assert abs(fd_t - b.partial(ctx3.xi_index(0)).constant_term) < 1e-6
+
+
+@pytest.mark.parametrize("n, xi0", [(2, (0.8,)), (2, (-1.3,)),
+                                    (3, (0.7, -1.1)), (3, (0.0, 1.2)),
+                                    (4, (0.6, 0.0, -0.9))])
+@pytest.mark.parametrize("degree", [-1, 0, 1, 2])
+def test_dxi_matches_central_differences_of_the_homogeneous_extension(
+        n, xi0, degree):
+    """dxi against the jet extended by homogeneity off its hyperplane and
+    differenced along each covector component.
+
+    The coefficients stop one degree below the accuracy, so the derivative
+    has no term that its accuracy drops, and its value at any point is
+    exact.
+    """
+    K = 5
+    ctx = make_context(n=n, K=K, xi0=xi0)
+    rng = np.random.default_rng(n * 10 + degree)
+    f = random_jet(ctx, rng, degree=K - 1)
+    f = Jet(ctx, f.coeffs, K, degree=degree)
+    h = 1e-5
+    for x, t in (((0.0,) * n, (0.0,) * (n - 2)),
+                 (tuple(rng.uniform(-0.3, 0.3, n)),
+                  tuple(rng.uniform(-0.3, 0.3, n - 2)))):
+        covector = np.array(xi0) + ctx.hyperplane_basis @ np.array(t)
+        for a in range(n - 1):
+            step = h * np.eye(n - 1)[a]
+            fd = (homogeneous_value(f, x, covector + step)
+                  - homogeneous_value(f, x, covector - step)) / (2 * h)
+            derivative = f.dxi(a)
+            assert derivative.degree == degree - 1
+            assert derivative.accuracy == K - 1
+            assert abs(evaluate(derivative, x=x, xi_offset=t) - fd) < 1e-7, (
+                a, x, t)
+
+
+@pytest.mark.parametrize("xi0", [(1.0,), (-0.4,), (0.8, -1.2), (0.0, 2.0),
+                                 (-3.0, 0.0), (0.3, 0.0, -0.5),
+                                 (0.0, 0.0, 1.0)])
+def test_hyperplane_basis_is_orthonormal_and_fixed_by_the_direction(xi0):
+    basis = make_context(n=len(xi0) + 1, xi0=xi0).hyperplane_basis
+    assert basis.shape == (len(xi0), len(xi0) - 1)
+    assert np.allclose(basis.T @ basis, np.eye(len(xi0) - 1), atol=1e-15)
+    assert np.allclose(np.array(xi0) @ basis, 0.0, atol=1e-15)
+    for scale in (2.5, 0.1, -1.0):
+        scaled = make_context(n=len(xi0) + 1,
+                              xi0=tuple(scale * v for v in xi0))
+        assert np.array_equal(scaled.hyperplane_basis, basis)
+
+
+def test_homogeneity_degrees_follow_the_operations():
+    ctx = make_context(n=3, K=5, xi0=(0.8, -0.6))
+    xi = [Jet.xi_component(ctx, a) for a in range(2)]
+    x1 = Jet.x_var(ctx, 0)
+    assert [e.degree for e in xi] == [1, 1] and x1.degree == 0
+    assert (xi[0] * xi[1] * x1).degree == 2
+    norm_sq = xi[0] * xi[0] + xi[1] * xi[1]
+    assert norm_sq.degree == 2
+    assert sqrt(norm_sq).degree == 1 and reciprocal(norm_sq).degree == -2
+    assert (xi[0] * reciprocal(xi[1])).degree == 0
+    assert norm_sq.dxi(0).degree == 1 and norm_sq.dx(0).degree == 2
+    matrix = JetMatrix(ctx, [[xi[0], Jet.zero(ctx)], [Jet.zero(ctx), xi[1]]])
+    assert matrix.degree == 1 and mat_inverse(matrix).degree == -1
+    assert (matrix @ matrix).degree == 2 and (matrix * xi[0]).degree == 2
+    # a zero jet takes any degree; nonzero jets of two degrees do not add
+    assert (Jet.zero(ctx) + xi[0]).degree == 1
+    assert (xi[0] - xi[0] + 2.0).degree == 0
+    for call in (lambda: xi[0] + x1, lambda: xi[0] + 1.0,
+                 lambda: JetMatrix(ctx, [[xi[0], x1]]),
+                 lambda: sqrt(xi[0] * norm_sq),
+                 lambda: (xi[0] * xi[0]).spatial_part()):
+        with pytest.raises(ValueError):
+            call()
+    assert not xi[0].allclose(xi[0] * reciprocal(xi[0]) * xi[0].constant_term)
+    assert xi[0].depends_on_xi() and not x1.depends_on_xi()
+    # for n = 2 the hyperplane is one point: a covector component is the
+    # constant xi0 of degree 1, and it still depends on xi
+    narrow = make_context(n=2, xi0=(-0.7,))
+    xi_narrow = Jet.xi_component(narrow, 0)
+    assert xi_narrow.coefficients() == {(0, 0): -0.7}
+    assert xi_narrow.degree == 1 and xi_narrow.depends_on_xi()
+    assert (xi_narrow * xi_narrow).dxi(0).allclose(2 * xi_narrow)
 
 
 def test_evaluate_matches_direct_polynomial():
-    ctx = make_context(n=2, K=4)
-    a = Jet.from_coefficients(ctx, {(1, 0, 0): 2.0, (0, 2, 0): 1.0, (0, 0, 1): -3.0})
+    ctx = make_context(n=3, K=4, xi0=(1.0, 0.5))
+    a = Jet.from_coefficients(ctx, {(1, 0, 0, 0): 2.0, (0, 2, 0, 0): 1.0,
+                                    (0, 0, 0, 1): -3.0})
     val = evaluate(a, x=[0.3, 0.2], xi_offset=[0.1])
     assert abs(val - (2 * 0.3 + 0.2 ** 2 - 3 * 0.1)) < 1e-14
 
 
 def test_at_boundary_and_substitute_xi():
-    ctx = make_context(n=2, K=4)
-    xn = Jet.x_var(ctx, 1)
+    ctx = make_context(n=3, K=4, xi0=(1.0, 0.5))
+    xn = Jet.x_var(ctx, 2)
     x1 = Jet.x_var(ctx, 0)
     xi = Jet.xi_offset(ctx, 0)
     a = 1 + x1 * xn + xn * xn + x1 * xi
@@ -501,7 +588,7 @@ def test_matrix_inverse_rejects_singular():
 
 
 def test_basis_is_graded_lex_with_tuple_keys():
-    ctx = make_context(n=2, K=2)
+    ctx = make_context(n=3, K=2, xi0=(1.0, 0.0)).spatial
     assert ctx.monomials == (
         (0, 0, 0),
         (0, 0, 1), (0, 1, 0), (1, 0, 0),

@@ -4,7 +4,9 @@ Each example walks from the root of a valid scene, symbols or recovered
 document to one node and replaces it, deletes it or adds a sibling.  The
 values are the shapes that break loaders: wrong JSON types, non-finite and
 huge numbers, integers too large for a float, and keys that look almost
-right; a key can also be renamed to one of those.
+right; a key can also be renamed to one of those.  Symbols documents are
+mutated in both schemas the loader reads: schema 2, as written now, and a
+schema-1 document written before levels were stored on the hyperplane.
 
 Every example is loaded twice, with the package's coefficient-map codec
 and with the plain loops below as its oracle: the two must agree on the
@@ -14,6 +16,8 @@ verdict, on the error text and on every coefficient bit.
 import contextlib
 import copy
 import functools
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +26,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elastic_dtn import scenes, serialize
-from elastic_dtn.jets import Jet, JetContext
+from elastic_dtn.cli import main
+from elastic_dtn.jets import ZERO_COEFF_TOL, Jet, JetContext
 from elastic_dtn.recovery import ObservedSymbols, recover_full
 from elastic_dtn.scenes import (
     SceneConfig,
@@ -51,8 +56,9 @@ VALUES = [None, True, False, 0, 1, -1, 2, 3, 10 ** 400, 0.5, -2.5, 1e300,
           {"1,1": {"0 0 0 0 0": 1.0}}]
 KEYS = ["", "x", "0", "1", "-1", "+1", " 1", "01", "9", "1,1", "1,2", "2,1",
         "2,2", "3,3", "0 0 0 0 0", "1 0 0 0 0", "5 0 0 0 0", "² 0 0 0 0",
-        "01 0 0 0 0", "0 0 0 0 00", "g_inv", "accuracy", "chart",
-        "tolerances"]
+        "01 0 0 0 0", "0 0 0 0 00", "0 0 0 0 1", "0 0 0 0", "1 0 0 0",
+        "0 0 0 1", "5 0 0 0", "g_inv", "accuracy", "chart", "tolerances"]
+DATA = Path(__file__).resolve().parent / "data"
 
 MUTATION_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=150)
@@ -60,13 +66,17 @@ MUTATION_SETTINGS = settings(derandomize=True, database=None, deadline=None,
 
 @functools.cache
 def documents() -> dict:
-    """One valid document of each kind, from a (3,4,1) scene."""
+    """One valid document of each kind, from a (3,4,1) scene; "symbols1" is
+    the schema-1 symbols document of the same scene, as written before
+    levels were stored on the hyperplane."""
     scene = random_scene(5, dimension=3, truncation_order=4, order=1)
     ctx = build_context(scene.metric, scene.lame, scene.context)
     levels = dtn_symbols(ctx, 1)
     data = recover_full(ObservedSymbols(levels, scene.lame, scene.context), 1)
+    old = json.loads((DATA / "symbols-schema1-3-4-1-seed5.json").read_text())
     return {"scene": scene_to_json(scene),
             "symbols": symbols_to_json(levels, scene.lame, scene.context),
+            "symbols1": old,
             "recovered": recovered_to_json(data)}
 
 
@@ -105,35 +115,54 @@ def mutated(draw, kind: str):
     return root
 
 
+def _padding(context: JetContext) -> int:
+    """A jet of x alone keys n - 1 zero cotangent exponents after its
+    x-exponents; a full-chart jet keys its own variables."""
+    return 0 if context.full is context else context.dimension - 1
+
+
 def oracle_to_map(jet: Jet) -> dict:
     """The coefficient map of ``jet``, one coefficient at a time."""
     out = {}
+    pad = (0,) * _padding(jet.context)
     for exps, value in jet.coefficients().items():
         if value == 0:
             continue
-        out[" ".join(str(e) for e in exps)] = [value.real, value.imag]
+        out[" ".join(str(e) for e in exps + pad)] = [value.real, value.imag]
     return out
 
 
 def oracle_from_map(context: JetContext, data: dict, where: str = "jet",
                     accuracy: int | None = None) -> Jet:
-    """The jet of a coefficient map, each key split and parsed on its own."""
+    """The jet of a coefficient map, each key split and parsed on its own.
+
+    The cotangent exponents of a jet of x alone may only carry
+    coefficients of at most ZERO_COEFF_TOL, which are dropped.
+    """
     if not isinstance(data, dict):
         raise SceneError(f"{where}: expected a coefficient map, got {type(data).__name__}")
+    nvars = context.nvars
+    width = nvars + _padding(context)
     coeffs = {}
     for key, value in data.items():
         parts = key.split(" ")
         exps = tuple(int(p) for p in parts
                      if p.isascii() and p.isdigit() and p == str(int(p)))
-        if len(exps) != len(parts) or len(exps) != context.nvars:
+        if len(exps) != len(parts) or len(exps) != width:
             raise SceneError(
-                f"{where}: bad exponent key {key!r} (need {context.nvars} "
+                f"{where}: bad exponent key {key!r} (need {width} "
                 f"non-negative integers, single-spaced, no leading zeros)")
         if sum(exps) > context.truncation_order:
             raise SceneError(
                 f"{where}: exponent key {key!r} exceeds truncation order "
                 f"{context.truncation_order}")
-        coeffs[exps] = complex_from_json(value, f"{where}[{key!r}]")
+        value = complex_from_json(value, f"{where}[{key!r}]")
+        if any(exps[nvars:]):
+            if abs(value) > ZERO_COEFF_TOL:
+                raise SceneError(f"{where}: exponent key {key!r} names a "
+                                 f"cotangent variable of a jet of x alone")
+            continue
+        coeffs[exps[:nvars]] = value
     return Jet.from_coefficients(context, coeffs, accuracy)
 
 
@@ -195,18 +224,29 @@ def test_scene_loader_raises_only_scene_errors(doc):
     _only_scene_errors(scene_from_json, doc)
 
 
+def _check_symbols_loader(doc):
+    observed = _only_scene_errors(observed_from_json, doc)
+    if observed is not None:  # each level has exactly one key, its degree,
+        assert set(doc["levels"]) == {str(d) for d in observed.p.levels}
+        # and its own trusted degree and homogeneity degree
+        assert doc["accuracy"] == {str(d): m.accuracy
+                                   for d, m in observed.p.levels.items()}
+        assert all(m.degree == d for d, m in observed.p.levels.items())
+
+
 @MUTATION_SETTINGS
 @given(mutated("symbols"))
 @example(_with_renamed(("levels", "accuracy"), "1", "+1"))
 @example(_with_renamed(("accuracy",), "0", "+1"))
 @example(_without_accuracy())
 def test_symbols_loader_raises_only_scene_errors(doc):
-    observed = _only_scene_errors(observed_from_json, doc)
-    if observed is not None:  # each level has exactly one key, its degree,
-        assert set(doc["levels"]) == {str(d) for d in observed.p.levels}
-        # and its own trusted degree
-        assert doc["accuracy"] == {str(d): m.accuracy
-                                   for d, m in observed.p.levels.items()}
+    _check_symbols_loader(doc)
+
+
+@MUTATION_SETTINGS
+@given(mutated("symbols1"))
+def test_schema1_symbols_loader_raises_only_scene_errors(doc):
+    _check_symbols_loader(doc)
 
 
 @MUTATION_SETTINGS
@@ -216,10 +256,11 @@ def test_recovered_loader_raises_only_scene_errors(doc):
 
 
 LOADERS = {"scene": scene_from_json, "symbols": observed_from_json,
-           "recovered": recovered_from_json}
+           "symbols1": observed_from_json, "recovered": recovered_from_json}
 
 
 JET_MAP_PATHS = {"scene": ["lambda"], "symbols": ["levels", "1", 0, 0],
+                 "symbols1": ["levels", "1", 0, 0],
                  "recovered": ["g_inv", "1,1"]}
 
 
@@ -240,12 +281,29 @@ def test_coefficient_values_agree_with_the_oracle(kind, value):
     _only_scene_errors(LOADERS[kind], doc)
 
 
-@pytest.mark.parametrize("kind", LOADERS)
-@pytest.mark.parametrize("key", ["01 0 0 0 0", "0 0 0 0 00", "1 0 0 0 0 ",
-                                 "\u0661 0 0 0 0", "4 0 0 0 0", "5 0 0 0 0",
-                                 "0 0 0 0"])
+def _key_cases(width: int) -> list:
+    """Keys of ``width`` exponents that are not canonical or exceed the
+    truncation order 4, keys of the wrong width, and the canonical key
+    "4 0 ... 0" last."""
+    zeros = " 0" * (width - 1)
+    return ["01" + zeros, zeros[1:] + " 00", "1" + zeros + " ",
+            "\u0661" + zeros, "5" + zeros, zeros[1:], "0" + zeros + " 0",
+            "4" + zeros]
+
+
+# the maps of jets of x alone and of schema-1 levels key 5 exponents, the
+# levels of schema 2 key 4; jets of x alone refuse a cotangent exponent,
+# which a schema-1 level may have
+KEY_CASES = [(kind, key, key.startswith("4 ") or key == "0 0 0 0 1"
+              and kind == "symbols1")
+             for kind in LOADERS
+             for key in _key_cases(4 if kind == "symbols" else 5)
+             + ([] if kind == "symbols" else ["0 0 0 0 1"])]
+
+
+@pytest.mark.parametrize("kind, key, readable", KEY_CASES)
 @pytest.mark.parametrize("rename", [False, True])
-def test_coefficient_keys_agree_with_the_oracle(kind, key, rename):
+def test_coefficient_keys_agree_with_the_oracle(kind, key, readable, rename):
     doc = copy.deepcopy(documents()[kind])
     jet_map = _first_jet_map(doc, kind)
     first = next(iter(jet_map))
@@ -253,8 +311,53 @@ def test_coefficient_keys_agree_with_the_oracle(kind, key, rename):
     loaded = _only_scene_errors(LOADERS[kind], doc)
     # only a canonical key within the truncation order is read; any other
     # could name a monomial that another key of the map names
-    if key != "4 0 0 0 0":
+    if not readable:
         assert loaded is None
+
+
+def _hostile_symbols(mutate) -> dict:
+    doc = copy.deepcopy(documents()["symbols"])
+    mutate(doc)
+    return doc
+
+
+NEED_4 = "(need 4 non-negative integers, single-spaced, no leading zeros)"
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(_hostile_symbols(
+        lambda doc: doc["levels"]["1"][0][0].update({"0 0 0 0 0": [1.0, 0.0]})),
+        f"level 1[0][0]: bad exponent key '0 0 0 0 0' {NEED_4}",
+        id="key-width"),
+    *[pytest.param(_hostile_symbols(lambda doc, v=value: doc.update(schema=v)),
+                   f"symbols document: unsupported schema {value!r}",
+                   id=f"schema-{value!r}") for value in (0, 3, "2", 2.5, None)],
+    pytest.param(_hostile_symbols(
+        lambda doc: doc["levels"]["0"][1][1].update({"0 0 00 0": [1.0, 0.0]})),
+        f"level 0[1][1]: bad exponent key '0 0 00 0' {NEED_4}",
+        id="non-canonical-key"),
+    pytest.param(_hostile_symbols(lambda doc: doc["accuracy"].pop("0")),
+                 "symbols document: accuracy keys must be ['-1', '0', '1'], "
+                 "got ['-1', '1']", id="missing-accuracy"),
+    pytest.param(_hostile_symbols(
+        lambda doc: doc["levels"]["-1"][2][0].update(
+            {"0 0 0 0": [float("nan"), 0.0]})),
+        "level -1[2][0]['0 0 0 0']: expected a finite number or [re, im] "
+        "pair, got [nan, 0.0]", id="non-finite"),
+])
+def test_hostile_schema2_documents_exit_2_with_one_error_line(
+        tmp_path, capsys, doc, message):
+    path = tmp_path / "symbols.json"
+    path.write_text(json.dumps(doc))  # NaN is written as the token NaN
+    out = tmp_path / "recovered.json"
+    capsys.readouterr()
+    assert main(["recover", "--symbols", str(path), "--order", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] \
+        == [f"error: {message}"]
+    assert not out.exists()
 
 
 def _random_jet(context: JetContext, rng, accuracy: int) -> Jet:
@@ -269,9 +372,12 @@ def _random_jet(context: JetContext, rng, accuracy: int) -> Jet:
 
 
 @pytest.mark.parametrize("n, K", [(2, 6), (3, 4), (4, 3)])
-def test_codec_matches_the_oracle_bit_for_bit(n, K):
+@pytest.mark.parametrize("x_only", [False, True])
+def test_codec_matches_the_oracle_bit_for_bit(n, K, x_only):
     rng = np.random.default_rng(n * 100 + K)
     context = JetContext(n, K, [0.7] * (n - 1))
+    if x_only:
+        context = context.spatial
     for accuracy in range(K + 1):
         for _ in range(5):
             jet = _random_jet(context, rng, accuracy)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastic_dtn import Jet, JetContext, JetMatrix
+from elastic_dtn import Jet, JetContext, JetMatrix, reciprocal
 from elastic_dtn.geometry import LameJet, MetricJet
 from elastic_dtn.recovery import (
     ConsistencyError,
@@ -54,13 +54,20 @@ def test_extract_quadratic_examples():
 
 
 def test_extract_quadratic_gate():
+    # a jet of another homogeneity degree is no quadratic form
     ctx = JetContext(2, 5, (1.0,))
     xi = Jet.xi_component(ctx, 0)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="homogeneity degree 3"):
         extract_quadratic(xi * xi * xi)
-    # constant and linear contamination is caught too
-    with pytest.raises(ConsistencyError):
-        extract_quadratic(xi * xi + 0.001)
+    # a jet of degree 2 that is not a form fails the residual gate: a
+    # factor that depends on the direction of xi, or a rational term
+    ctx3 = JetContext(3, 5, (1.0, 0.5))
+    xi1, xi2 = (Jet.xi_component(ctx3, a) for a in range(2))
+    direction = Jet.xi_offset(ctx3, 0)
+    for contaminated in (xi1 * xi1 * (1 + 0.001 * direction),
+                         xi1 * xi1 + 0.001 * xi2 * xi2 * xi2 * reciprocal(xi1)):
+        with pytest.raises(ConsistencyError, match="residual"):
+            extract_quadratic(contaminated)
 
 
 def test_extract_quadratic_sampled_agrees():
@@ -367,13 +374,54 @@ def test_every_jet_stores_only_its_trusted_coefficients():
         assert len(e.coeffs) == e.context.sizes[e.accuracy], e.accuracy
 
 
-@pytest.mark.xfail(strict=True, raises=ConsistencyError,
-                   reason="double-precision roundoff in deep peeling: the "
-                          "order-7 imaginary residual is 1.24e-9, over the "
-                          "1e-9 gate (2.0e-14 in long double)")
 def test_deep_peeling_order_7_of_a_pooled_scene():
-    # the one failing (2,10,7) scene among 1,120 benchmark pool scenes; a
-    # numerics fix must turn this test into a pass
+    # the (2,10,7) scene of the benchmark pools that once failed the 1e-9
+    # imaginary gate at order 7 with a residual of 1.24e-9, when levels
+    # were stored over a cotangent offset variable; on the hyperplane
+    # chart of n = 2, which has no cotangent variable, it reads 1.8e-12
     scene = random_scene(916122595, dimension=2, truncation_order=10, order=7)
     observed, _ = forward_observed(scene, 7)
-    recover_full(observed, 7)
+    data = recover_full(observed, 7)
+    assert data.diagnostics["peeling"][7]["imaginary"] < 1e-10
+
+
+@pytest.mark.parametrize("n,K,M", [(2, 10, 7), (3, 7, 4), (4, 5, 2)])
+def test_recovered_blocks_are_sound_and_their_slack_is_known(n, K, M):
+    """Every recovered block matches the truth to its stated accuracy A.
+
+    One degree above, a block is recovered from levels trusted one degree
+    further than their document says: the levels of the chart of K,
+    zero-extended by one degree, on the chart of K + 1.  Where A is tight,
+    the block misses the truth at degree A + 1.  That holds at order 0 for
+    n >= 3, whose Hessian in xi reads two degrees of the hyperplane
+    offsets.  The accounting is pessimistic, and the block matches the
+    truth at A + 1, at order 0 for n = 2, where dxi is Euler's scaling
+    alone yet drops a degree, and at every order m >= 1, where the
+    boundary factorization is quadratic in the offsets with x-coefficients
+    trusted beyond its total degree.
+    """
+    scene = random_scene(5, dimension=n, truncation_order=K, order=M)
+    levels = dtn_symbols(build_context(scene.metric, scene.lame,
+                                       scene.context), M)
+    stated = recover_full(ObservedSymbols(levels, scene.lame, scene.context), M)
+    doc = symbols_to_json(levels, scene.lame, scene.context)
+    doc["chart"]["truncation_order"] = K + 1
+    doc["accuracy"] = {d: a + 1 for d, a in doc["accuracy"].items()}
+    further = recover_full(observed_from_json(doc), M)
+    truth = true_inverse_derivatives(scene, M)
+    sizes = scene.context.spatial.sizes
+    for m in range(M + 1):
+        block = stated.g_inv if m == 0 else stated.normal_derivs[m - 1]
+        above = further.g_inv if m == 0 else further.normal_derivs[m - 1]
+        accuracy = block.accuracy
+        assert above.accuracy == accuracy + 1, m
+        true = truth[m].coeffs
+        scale = max(np.abs(true).max(), 1.0)
+        assert np.abs(block.coeffs - true[..., :sizes[accuracy]]).max() \
+            <= 1e-9 * scale, m
+        top = slice(sizes[accuracy], sizes[accuracy + 1])
+        gap = np.abs(above.coeffs[..., top] - true[..., top]).max() / scale
+        if m == 0 and n >= 3:
+            assert gap > 1e-6, m
+        else:
+            assert gap <= 1e-9, m

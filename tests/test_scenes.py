@@ -19,22 +19,35 @@ from elastic_dtn.scenes import (
 
 
 def test_jet_map_roundtrip():
-    ctx = JetContext(2, 5, (1.0,))
-    jet = Jet.from_coefficients(ctx, {(1, 0, 0): 2.0 + 1.0j, (0, 0, 2): -0.5})
-    data = jet_to_map(jet)
-    assert data == {"1 0 0": [2.0, 1.0], "0 0 2": [-0.5, 0.0]}
-    back = jet_from_map(ctx, data)
-    assert back.allclose(jet)
+    # a jet of x alone keys n x-exponents and n - 1 zeros; a full-chart
+    # jet keys its n x-exponents and n - 2 hyperplane offsets
+    ctx = JetContext(3, 5, (1.0, 0.5))
+    for chart, exps, keys in [
+            (ctx.spatial, [(1, 0, 0), (0, 0, 2)], ["1 0 0 0 0", "0 0 2 0 0"]),
+            (ctx, [(1, 0, 0, 0), (0, 0, 0, 2)], ["1 0 0 0", "0 0 0 2"])]:
+        jet = Jet.from_coefficients(chart, {exps[0]: 2.0 + 1.0j,
+                                            exps[1]: -0.5})
+        data = jet_to_map(jet)
+        assert data == {keys[0]: [2.0, 1.0], keys[1]: [-0.5, 0.0]}
+        back = jet_from_map(chart, data)
+        assert back.context is chart and back.allclose(jet)
 
 
 def test_jet_map_validation():
-    ctx = JetContext(2, 4, (1.0,))
+    ctx = JetContext(2, 4, (1.0,)).spatial
     with pytest.raises(SceneError):
         jet_from_map(ctx, {"1 0": 1.0})  # wrong arity
     with pytest.raises(SceneError):
         jet_from_map(ctx, {"5 0 0": 1.0})  # beyond truncation
     with pytest.raises(SceneError):
         jet_from_map(ctx, {"1 0 0": "x"})  # bad value
+    # a jet of x alone has no cotangent content above ZERO_COEFF_TOL
+    with pytest.raises(SceneError, match="names a cotangent variable"):
+        jet_from_map(ctx, {"0 0 0": 1.0, "0 0 1": 1e-13})
+    assert jet_from_map(ctx, {"0 0 0": 1.0, "0 0 1": 1e-15}).allclose(1.0,
+                                                                      tol=0)
+    with pytest.raises(SceneError, match="need 2 non-negative integers"):
+        jet_from_map(ctx.full, {"0 0 0": 1.0})
 
 
 def test_scene_document_roundtrip():
@@ -79,8 +92,8 @@ def test_scene_validation_errors():
 
 def test_loaded_jets_own_exactly_their_trusted_coefficients():
     ctx = JetContext(3, 7, (0.8, -1.2))
-    data = {"0 0 0 0 0": 1.0, "1 0 0 0 0": 2.0, "0 0 0 0 3": 0.5,
-            "0 4 0 0 0": [1.0, -1.0], "2 2 1 1 1": 0.25}
+    data = {"0 0 0 0": 1.0, "1 0 0 0": 2.0, "0 0 0 3": 0.5,
+            "0 4 0 0": [1.0, -1.0], "2 2 1 2": 0.25}
     for acc in (0, 1, 4, 7):
         for jet in (jet_from_map(ctx, data, accuracy=acc),
                     Jet.constant(ctx, 2.0, acc)):
@@ -138,7 +151,7 @@ def test_canonical_text_is_indented_sorted_json_in_every_batch(tmp_path):
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity",
                                    "[1.0, NaN]", "[Infinity, 0.0]"])
 def test_non_finite_coefficients_rejected(value):
-    ctx = JetContext(2, 4, (1.0,))
+    ctx = JetContext(2, 4, (1.0,)).spatial
     data = json.loads('{"0 0 0": %s}' % value)
     with pytest.raises(SceneError, match="finite"):
         jet_from_map(ctx, data)

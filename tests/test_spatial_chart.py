@@ -161,20 +161,20 @@ def test_restriction_and_lift_keep_the_coefficient_map(case):
     assert s.coefficients() == {m[:n]: v for m, v in g.coefficients().items()
                                 if not any(m[n:])}
     assert s.lift(chart).coefficients() == {
-        m + (0,) * (n - 1): v for m, v in s.coefficients().items()}
+        m + (0,) * (n - 2): v for m, v in s.coefficients().items()}
     assert s.spatial_part() is s and s.lift(chart.spatial).coeffs is s.coeffs
 
 
 def test_lifting_refuses_a_foreign_chart():
-    spatial = JetContext(3, 4, (1.0, 1.0)).spatial
+    spatial = JetContext(4, 4, (1.0, 1.0, 1.0)).spatial
     x = Jet.x_var(spatial, 0) + 1.0
-    # the spatial chart of n = 3 and the full chart of n = 2 have the same
+    # the spatial chart of n = 4 and the full chart of n = 3 have the same
     # table shape; only the chart check tells them apart
-    narrow = JetContext(2, 4, (1.0,))
+    narrow = JetContext(3, 4, (1.0, 1.0))
     assert spatial.nvars == narrow.nvars
-    foreign = [narrow, narrow.spatial, JetContext(3, 5, (1.0, 1.0)),
-               JetContext(3, 4, (1.0, -1.0)),
-               JetContext(3, 4, (1.0, -1.0)).spatial]
+    foreign = [narrow, narrow.spatial, JetContext(4, 5, (1.0, 1.0, 1.0)),
+               JetContext(4, 4, (1.0, -1.0, 1.0)),
+               JetContext(4, 4, (1.0, -1.0, 1.0)).spatial]
     column = JetMatrix.column(spatial, [x])
     for chart in foreign:
         other = Jet.x_var(chart, 0)
@@ -185,13 +185,15 @@ def test_lifting_refuses_a_foreign_chart():
                      lambda: column @ JetMatrix(chart, [[other]])):
             with pytest.raises(ContextMismatch):
                 call()
-    # a full jet is never restricted by an operation
-    full = JetContext(3, 4, (1.0, 1.0))
-    with pytest.raises(ContextMismatch):
-        Jet.x_var(full, 0).lift(spatial)
-    with pytest.raises(ContextMismatch):
-        JetMatrix(spatial, [[Jet.x_var(full, 0)]])
-    assert (x * Jet.x_var(full, 1)).context is full
+    # a full jet is never restricted by an operation, also for n = 2,
+    # where the two charts have the same variables
+    for full in (spatial.full, JetContext(2, 4, (1.0,))):
+        with pytest.raises(ContextMismatch):
+            Jet.x_var(full, 0).lift(full.spatial)
+        with pytest.raises(ContextMismatch):
+            JetMatrix(full.spatial, [[Jet.x_var(full, 0)]])
+        y = Jet.x_var(full.spatial, 0)
+        assert (y * Jet.x_var(full, 1)).context is full
 
 
 def test_spatial_chart_has_no_cotangent_variables():

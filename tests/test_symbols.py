@@ -3,7 +3,7 @@ import pytest
 
 from elastic_dtn import AccuracyExhausted, Jet, JetContext, JetMatrix, mat_inverse
 from elastic_dtn.geometry import LameJet, MetricJet
-from elastic_dtn.scenes import random_scene
+from elastic_dtn.scenes import random_scene, scene_from_json, scene_to_json
 from elastic_dtn.symbols import (
     SymbolLevels,
     build_context,
@@ -15,6 +15,8 @@ from elastic_dtn.symbols import (
     q_levels,
     solve_q,
 )
+
+from oracles import homogeneous_value
 
 
 def euclidean_context(n=2, K=6, xi0=None, lam=1.0, mu=1.0):
@@ -373,23 +375,117 @@ def test_symbol_levels_structure():
 
 
 @pytest.mark.parametrize("n,K,M", [(2, 6, 3), (3, 6, 3), (4, 5, 2)])
-def test_levels_are_homogeneous_in_xi(n, K, M):
-    """Euler's relation: sum_a xi_a dL/dxi_a = d L on each level of degree d.
+@pytest.mark.parametrize("scale", [2.5, 0.4])
+def test_levels_scale_with_the_base_covector(n, K, M, scale):
+    """A level of degree d on the chart of s xi0 is s^(d - |beta|) times the
+    level on the chart of xi0, coefficient by coefficient, beta the
+    exponent of the hyperplane offsets.
 
-    An independent check of the cotangent bookkeeping: a wrong xi-pairing
-    or a derivative in the wrong variable mixes homogeneity degrees.
+    The two charts share their basis E, and xi = s xi0 + E t' is
+    s (xi0 + E t'/s), so this holds for homogeneous levels alone; a wrong
+    degree, or a level that is not homogeneous, breaks it.
     """
-    for seed in (1, 2, 3):
-        ctx, scene = random_context(seed, dimension=n, K=K)
-        xi = [Jet.xi_component(scene.context, a) for a in range(n - 1)]
-        for levels in (q_levels(ctx, M), dtn_symbols(ctx, M)):
-            assert levels.min_degree == -M
-            for degree, level in levels.levels.items():
-                euler = level * float(-degree)
-                for a in range(n - 1):
-                    euler = euler + level.dxi(a) * xi[a]
-                assert euler.max_abs() <= scene.tolerance("algebra"), (
-                    seed, levels.kind, degree)
+    for seed in (1, 2):
+        scene = random_scene(seed, dimension=n, truncation_order=K, order=M)
+        doc = scene_to_json(scene)
+        doc["base_covector"] = [scale * v for v in scene.base_covector]
+        scaled = scene_from_json(doc)
+        t_degree = scene.context._exps[:, n:].sum(axis=1)
+        for levels in (q_levels, dtn_symbols):
+            here = levels(build_context(scene.metric, scene.lame,
+                                        scene.context), M)
+            there = levels(build_context(scaled.metric, scaled.lame,
+                                         scaled.context), M)
+            for degree, level in here.levels.items():
+                other = there.levels[degree]
+                assert (level.degree, other.degree) == (degree, degree)
+                size = level.coeffs.shape[-1]
+                expected = level.coeffs * scale ** (degree - t_degree[:size])
+                assert np.allclose(other.coeffs, expected, rtol=1e-11,
+                                   atol=1e-12 * np.abs(expected).max()), (
+                    seed, here.kind, degree)
+
+
+@pytest.mark.parametrize("n,K,M", [(2, 6, 3), (3, 6, 3), (4, 5, 2)])
+def test_level_derivatives_in_xi_match_the_homogeneous_extension(n, K, M):
+    """dxi of every level against central differences of the level
+    extended by homogeneity off the hyperplane, at x = 0 and xi0.
+
+    The extension evaluates the level at offsets of the order of the step,
+    where the coefficients it does not store weigh less than roundoff.
+    """
+    h = 1e-5
+    scene = random_scene(3, dimension=n, truncation_order=K, order=M)
+    ctx = build_context(scene.metric, scene.lame, scene.context)
+    xi0 = np.array(scene.base_covector)
+    x = (0.0,) * n
+    for levels in (q_levels(ctx, M), dtn_symbols(ctx, M)):
+        for degree, level in levels.levels.items():
+            for a in range(n - 1):
+                derivative = level.dxi(a)
+                step = h * np.eye(n - 1)[a]
+                for i in range(n):
+                    for j in range(n):
+                        fd = (homogeneous_value(level[i, j], x, xi0 + step)
+                              - homogeneous_value(level[i, j], x, xi0 - step)
+                              ) / (2 * h)
+                        assert abs(derivative[i, j].constant_term - fd) < 1e-7, (
+                            levels.kind, degree, a, i, j)
+
+
+def _keep_a_degree(derivative):
+    """``derivative`` taken after zero-extending its operand by one degree,
+    so that it keeps the operand's accuracy: its top degree is what the
+    truncated operand gives, not the true value."""
+    def keeping(self, *args):
+        return derivative(self.with_accuracy(self.accuracy + 1), *args)
+    return keeping
+
+
+@pytest.mark.parametrize("n,K,M", [(2, 10, 7), (3, 7, 4), (4, 5, 2)])
+def test_forward_levels_are_trusted_exactly_to_K_minus_1_plus_d(
+        monkeypatch, n, K, M):
+    """Tightness: the level of degree d matches the truth to K - 1 + d and
+    misses it one degree above.
+
+    The truth is the run on the chart of K + 1, trusted one degree further.
+    The degree above comes from a run on that chart with the inputs trusted
+    to K, as on the chart of K, but with every derivative, in x or in xi,
+    keeping its operand's accuracy: the degrees it adds are exactly the
+    ones the accounting drops.  The principal level is trusted to K, the
+    whole chart, and has no degree above.
+    """
+    scene = random_scene(5, dimension=n, truncation_order=K, order=M)
+    doc = scene_to_json(scene)
+    doc["truncation_order"] = K + 1
+    big = scene_from_json(doc)
+    truth = dtn_symbols(build_context(big.metric, big.lame, big.context), M)
+    stated = dtn_symbols(build_context(scene.metric, scene.lame,
+                                       scene.context), M)
+    spatial = big.context.spatial
+    metric = MetricJet(spatial, [[e.with_accuracy(K) for e in row] for row in
+                                 (big.metric.tangential_matrix()[a]
+                                  for a in range(n - 1))])
+    lame = LameJet(big.lame.lam.with_accuracy(K), big.lame.mu.with_accuracy(K))
+    from elastic_dtn import jets
+
+    for name in ("partial", "dxi"):
+        monkeypatch.setattr(jets._JetArray, name,
+                            _keep_a_degree(getattr(jets._JetArray, name)))
+    loose = dtn_symbols(build_context(metric, lame, big.context), M)
+    sizes = big.context.sizes
+    for degree, level in stated.levels.items():
+        accuracy = K - 1 + degree
+        true = truth.level(degree).coeffs
+        scale = np.abs(true).max()
+        assert level.accuracy == accuracy
+        assert np.abs(level.coeffs - true[..., :sizes[accuracy]]).max() \
+            <= 1e-12 * scale, degree
+        if degree == 1:
+            continue
+        above = slice(sizes[accuracy], sizes[accuracy + 1])
+        assert np.abs(loose.level(degree).coeffs[..., above]
+                      - true[..., above]).max() > 1e-6 * scale, degree
 
 
 @pytest.mark.parametrize("n,K,M", [(2, 10, 7), (3, 7, 4), (4, 5, 2)])
