@@ -478,8 +478,6 @@ class _JetArray:
         """
         if not isinstance(other, _JetArray):
             other = Jet.constant(self.context, other)
-            if not other.coeffs.any():
-                other.degree = self.degree
         _, a, b = _operands(self, other)
         n = min(a.shape[-1], b.shape[-1])
         a, b = a[..., :n], b[..., :n]
@@ -507,7 +505,8 @@ class _JetArray:
         if type(other) is not type(self):
             return NotImplemented
         chart, a, b = _operands(self, other)
-        degree = _common_degree([self, other])
+        degree = (self.degree if self.degree == other.degree
+                  else _common_degree([self, other]))
         if a.shape != b.shape:
             n = min(a.shape[-1], b.shape[-1])
             a, b = a[..., :n], b[..., :n]

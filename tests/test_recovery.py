@@ -17,7 +17,13 @@ from elastic_dtn.recovery import (
     recover_full,
     recover_order0,
 )
-from elastic_dtn.scenes import SceneError, canonical_json, random_scene
+from elastic_dtn.scenes import (
+    SceneError,
+    canonical_json,
+    random_scene,
+    scene_from_json,
+    scene_to_json,
+)
 from elastic_dtn.serialize import (
     observed_from_json,
     recovered_to_json,
@@ -304,6 +310,23 @@ def test_cross_check_mode():
     obs, _ = forward_observed(scene, 1)
     data = recover_full(obs, 1, cross_check=True)
     assert data.diagnostics["cross_check"] < 1e-8
+
+
+@pytest.mark.parametrize("xi0", [(0.0, 1.2), (-0.9, 0.0), (0.7, -0.7),
+                                 (0.0, 0.0, -1.1), (0.5, 0.0, 0.5)])
+def test_cross_check_samples_every_base_covector(xi0):
+    """Polarization samples only covectors v with v . xi0 != 0, which
+    scale onto the hyperplane; base covectors with zero components, or
+    whose components cancel, have coordinate vectors and pairwise sums
+    orthogonal to them."""
+    scene = random_scene(82, dimension=len(xi0) + 1, truncation_order=5,
+                         order=1)
+    doc = scene_to_json(scene)
+    doc["base_covector"] = list(xi0)
+    scene = scene_from_json(doc)
+    obs, _ = forward_observed(scene, 1)
+    data = recover_full(obs, 1, cross_check=True)
+    assert data.diagnostics["cross_check"] < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
