@@ -667,7 +667,8 @@ def _assert_same_arrays(got, expected):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n,K", [(2, 10), (3, 7), (4, 5),
+@pytest.mark.parametrize("n,K", [(2, 10), (3, 7), (4, 5), (2, 19), (3, 10),
+                                 (4, 7),
                                  *[(n, _largest_truncation(n)) for n in (2, 3, 4)]])
 def test_tables_equal_the_loop_tables(n, K):
     ctx = JetContext(n, K, (1.0,) * (n - 1))
