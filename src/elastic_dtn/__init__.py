@@ -7,7 +7,6 @@ derivatives out, recovered order by order with a layer-peeling scheme.
 """
 
 from .geometry import (
-    ChristoffelField,
     LameJet,
     MetricJet,
     apply_decomposition,
@@ -52,7 +51,6 @@ from .symbols import (
 
 __all__ = [
     "AccuracyExhausted",
-    "ChristoffelField",
     "ConsistencyError",
     "ContextMismatch",
     "Jet",

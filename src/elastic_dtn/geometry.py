@@ -4,7 +4,11 @@ Conventions: coordinates x_1..x_n with x_n the distance to the boundary,
 so the full metric has unit normal-normal entry and vanishing mixed
 entries; only the tangential block g_{alpha beta}(x) varies.  Greek
 indices run over 0..n-2 (tangential), Roman over 0..n-1, with n-1 the
-normal direction.  All tensors are matrices/arrays of jets.
+normal direction.  All tensors are arrays of jets; the connection
+Gamma^j_{kl} is one (n, n, n) array, ``gamma[j, k, l]``.  The symbol path
+contracts it by whole-array operations whose products and sums keep the
+operand and term order of the entry-by-entry formulas, so the outputs
+keep their last bits.
 
 The metric and Lame jets are functions of x alone and live on the spatial
 chart (:attr:`~elastic_dtn.jets.JetContext.spatial`), so everything built
@@ -22,7 +26,7 @@ the module's central oracle and is exercised heavily in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,8 +37,10 @@ from .jets import (
     Jet,
     JetContext,
     JetMatrix,
+    _JetArray,
     mat_inverse,
     reciprocal,
+    stack,
 )
 
 _REALITY_TOL = 1e-12
@@ -78,10 +84,6 @@ class MetricJet:
             raise ValueError("metric block must be positive definite at the base point")
         object.__setattr__(self, "context", block.context)
         object.__setattr__(self, "_block", block)
-
-    @classmethod
-    def euclidean(cls, context: JetContext) -> "MetricJet":
-        return cls(context, JetMatrix.identity(context, context.dimension - 1))
 
     def tangential_matrix(self) -> JetMatrix:
         return self._block
@@ -131,18 +133,6 @@ class LameJet:
         return reciprocal(self.lam + 3 * self.mu)
 
 
-@dataclass(frozen=True)
-class ChristoffelField:
-    """Connection coefficients Gamma^j_{kl}, symmetric in the lower pair."""
-
-    context: JetContext
-    symbols: tuple  # [j][k][l] -> Jet
-
-    def __getitem__(self, jkl):
-        j, k, l = jkl
-        return self.symbols[j][k][l]
-
-
 def assemble_full_metric(metric: MetricJet) -> JetMatrix:
     """Embed the tangential block: unit normal entry, no mixed entries."""
     block = metric.tangential_matrix()
@@ -151,35 +141,20 @@ def assemble_full_metric(metric: MetricJet) -> JetMatrix:
     return JetMatrix._wrap(metric.context, full, block.accuracy, 0)
 
 
-def tangential_block(full: JetMatrix) -> JetMatrix:
-    n = full.context.dimension
-    return JetMatrix(full.context,
-                     [[full[a, b] for b in range(n - 1)] for a in range(n - 1)])
+def christoffel(g: JetMatrix, ginv: JetMatrix) -> _JetArray:
+    """Gamma^j_{kl} at [j, k, l]: g^{jm} S[m, (k, l)] / 2, one matrix
+    product, with S[m, k, l] = d_l g_km + d_k g_lm - d_m g_kl.
+
+    g is exactly symmetric, so S, and Gamma, are exactly symmetric in k
+    and l.
+    """
+    n = g.context.dimension
+    dg = stack([g.dx(l) for l in range(n)])  # d_l g_km at [l, k, m]
+    s = dg.transpose(2, 1, 0) + dg.transpose(2, 0, 1) - dg
+    return ((ginv @ s.reshape(n, n * n)) * 0.5).reshape(n, n, n)
 
 
-def christoffel(g: JetMatrix, ginv: JetMatrix) -> ChristoffelField:
-    ctx = g.context
-    n = ctx.dimension
-    dg = [[[g[k, m].dx(l) for l in range(n)] for m in range(n)] for k in range(n)]
-    out = []
-    for j in range(n):
-        plane = []
-        for k in range(n):
-            row = []
-            for l in range(k + 1):
-                acc = Jet.zero(ctx)
-                for m in range(n):
-                    acc = acc + ginv[j, m] * (dg[k][m][l] + dg[l][m][k] - dg[k][l][m])
-                row.append(acc * 0.5)
-            plane.append(row)
-        out.append(plane)
-    # fill the symmetric upper part exactly
-    full = [[[out[j][max(k, l)][min(k, l)] for l in range(n)]
-             for k in range(n)] for j in range(n)]
-    return ChristoffelField(ctx, tuple(tuple(tuple(r) for r in p) for p in full))
-
-
-def ricci(gamma: ChristoffelField) -> JetMatrix:
+def ricci(gamma: _JetArray) -> JetMatrix:
     ctx = gamma.context
     n = ctx.dimension
 
@@ -199,38 +174,19 @@ def ricci(gamma: ChristoffelField) -> JetMatrix:
 class _Geometry:
     g: JetMatrix
     ginv: JetMatrix
-    gamma: ChristoffelField
-    _raised: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    gamma: _JetArray  # Gamma^j_{kl} at [j, k, l]
 
     @cached_property
-    def trace(self) -> tuple:
+    def trace(self) -> _JetArray:
         """Connection traces Gamma^c_{cb} (tangential c) for every b."""
-        ctx = self.g.context
-        n = ctx.dimension
-        out = []
-        for b in range(n):
-            acc = Jet.zero(ctx)
-            for c in range(n - 1):
-                acc = acc + self.gamma[c, c, b]
-            out.append(acc)
-        return tuple(out)
+        c = np.arange(self.g.context.dimension - 1)
+        return self.gamma[c, c].sum()
 
-    def raised_gradient(self, f: Jet) -> tuple:
+    def raised_gradient(self, f: Jet) -> _JetArray:
         """Raised tangential gradient g^{ab} d_b f for every tangential a."""
-        hit = self._raised.get(id(f))
-        if hit is None:
-            ctx = self.g.context
-            nn = ctx.dimension - 1
-            grad = []
-            for a in range(nn):
-                acc = Jet.zero(ctx)
-                for b in range(nn):
-                    acc = acc + self.ginv[a, b] * f.dx(b)
-                grad.append(acc)
-            # the field is kept alive so that its id is not reused
-            hit = self._raised[id(f)] = (f, tuple(grad))
-        return hit[1]
+        nn = self.g.context.dimension - 1
+        grad = stack([f.dx(b) for b in range(nn)]).reshape(nn, 1)
+        return (self.ginv[:nn, :nn] @ grad).reshape(nn)
 
 
 def prepare(metric: MetricJet) -> _Geometry:
@@ -373,37 +329,32 @@ def normal_multiplier_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
 
 def zeroth_order_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
     """Multiplier part of the tangential block of the system."""
-    ctx = geo.g.context
-    n = ctx.dimension
+    n = geo.g.context.dimension
     nn = n - 1
-    ginv, gamma, trace = geo.ginv, geo.gamma, geo.trace
+    ginv, trace = geo.ginv, geo.trace
     lam, mu = lame.lam, lame.mu
     inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
     s_ratio = (lam + mu) * inv_mu
-    grad_lam = geo.raised_gradient(lam)
-
-    def contracted(j: int, k: int) -> Jet:
-        # g^{ml} d_k Gamma^j_{ml}, Roman sum
-        acc = Jet.zero(ctx)
-        for m in range(n):
-            for l in range(n):
-                acc = acc + ginv[m, l] * gamma[j, m, l].dx(k)
-        return acc
+    # g^{ml} d_k Gamma^j_{ml} at [j, k], the (m, l) sum in row-major order
+    dgamma = stack([geo.gamma.dx(k) for k in range(n)], axis=3)  # [j, m, l, k]
+    contracted = (ginv.reshape(1, n * n)
+                  @ dgamma.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+                  ).reshape(n, n)
+    dginv = stack([ginv.dx(b) for b in range(n)], axis=2)  # d_b g^{ac} at [a, c, b]
 
     # the order of each sum is part of the output: symbols documents carry
     # its last bits
-    def entry(a: int, b: int) -> Jet:
-        if a == nn:
-            return (lam + mu) * inv_l2m * trace[b].dn() \
-                + mu * inv_l2m * contracted(nn, b) \
-                + inv_l2m * lam.dn() * trace[b]
-        out = contracted(a, b)
-        for c in range(nn):
-            out = out + s_ratio * ginv[a, c] * trace[b].dx(c)
-            out = out - inv_mu * mu.dx(c) * ginv[a, c].dx(b)
-        return out + inv_mu * grad_lam[a] * trace[b]
-
-    return JetMatrix(ctx, [[entry(a, b) for b in range(n)] for a in range(n)])
+    tangential = contracted[:nn]
+    for c in range(nn):
+        tangential = tangential + (s_ratio * ginv[:nn, c]).reshape(nn, 1) \
+            * trace.dx(c).reshape(1, n)
+        tangential = tangential - inv_mu * mu.dx(c) * dginv[:nn, c]
+    tangential = tangential \
+        + (inv_mu * geo.raised_gradient(lam)).reshape(nn, 1) * trace.reshape(1, n)
+    normal = (lam + mu) * inv_l2m * trace.dn() \
+        + mu * inv_l2m * contracted[nn, :] \
+        + inv_l2m * lam.dn() * trace
+    return JetMatrix.block(geo.g.context, [[tangential], [normal.reshape(1, n)]])
 
 
 def apply_B(v: JetMatrix, geo: _Geometry, lame: LameJet) -> JetMatrix:

@@ -30,12 +30,16 @@ and ``with_accuracy`` drops coefficients or extends with zeros.  The
 public coefficient map and serialization operate on the sparse
 multi-index view.
 
-A :class:`JetMatrix` is one read-only array of shape (rows, cols,
-``sizes[A]``) with one accuracy A and one degree; ``m[i, j]`` is a
-read-only :class:`Jet` view and ``m[i]`` a row of them.  Every block of
-jets in the package is a ``JetMatrix``, vector fields included (as
-columns).  Jets and matrices share the arithmetic over the last axis, and
-one product kernel serves every jet product, scaling and matrix product.
+A jet array of any leading shape is one read-only array of shape (...,
+``sizes[A]``) with one accuracy A and one degree; an index per leading
+axis, ``a[i, j, k]``, is a read-only :class:`Jet` view of an entry, and
+slices are read-only arrays.  A :class:`JetMatrix` has two leading axes,
+and ``m[i]`` is a row of entry views.  Every block of jets in the package
+is a ``JetMatrix``, vector fields included (as columns); the connection
+is one array of shape (n, n, n).  All of them share the arithmetic over
+the last axis, and one product kernel serves every jet product, entrywise
+product, scaling and matrix product; the operands of each product keep
+their order, with the leading axes broadcast as in numpy.
 
 Every chart (the *full* chart, over the x-variables and the hyperplane
 offsets) has a *spatial* chart (``JetContext.spatial``): the same n, K and
@@ -447,6 +451,8 @@ class _JetArray:
     @classmethod
     def _wrap(cls, context: JetContext, coeffs: np.ndarray, accuracy: int,
               degree: int):
+        if coeffs.ndim > 1:  # an array of jets is read-only
+            coeffs.flags.writeable = False
         out = object.__new__(cls)
         out.context = context
         out.coeffs = coeffs
@@ -461,6 +467,36 @@ class _JetArray:
                           self.degree)
 
     # -- views ---------------------------------------------------------
+
+    def __getitem__(self, key):
+        """Index the leading axes as numpy does: ``a[i, j, k]``, one index
+        per leading axis, is a read-only :class:`Jet` view of an entry, and
+        slices give read-only arrays of jets."""
+        key = key if isinstance(key, tuple) else (key,)
+        if (len(key) > self.coeffs.ndim - 1
+                or any(k is None or k is Ellipsis for k in key)):
+            raise IndexError(f"index {key!r} reaches past the leading axes")
+        c = self.coeffs[key]
+        return _array_class(c.ndim - 1)._wrap(self.context, c, self.accuracy,
+                                              self.degree)
+
+    def reshape(self, *shape):
+        """The same jets under the leading axes ``shape``."""
+        return _array_class(len(shape))._wrap(
+            self.context, self.coeffs.reshape(shape + (-1,)), self.accuracy,
+            self.degree)
+
+    def transpose(self, *axes):
+        """The leading axes permuted as ``axes`` says, or reversed."""
+        lead = self.coeffs.ndim - 1
+        return self._like(self.coeffs.transpose(*(axes or range(lead)[::-1]),
+                                                lead))
+
+    def sum(self):
+        """The sum over the first leading axis, term by term in order."""
+        return _array_class(self.coeffs.ndim - 2)._wrap(
+            self.context, np.add.reduce(self.coeffs), self.accuracy,
+            self.degree)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -484,9 +520,6 @@ class _JetArray:
         if self.degree != other.degree:
             return bool(np.all(np.abs(a) <= tol) and np.all(np.abs(b) <= tol))
         return bool(np.all(np.abs(a - b) <= tol))
-
-    def is_zero(self, tol: float = APPROX_TOL) -> bool:
-        return self.allclose(0.0, tol)
 
     # -- ring operations -------------------------------------------------
 
@@ -530,15 +563,16 @@ class _JetArray:
         return self._like(-self.coeffs)
 
     def __mul__(self, other):
-        """Scale by a number or by a jet."""
+        """Scale by a number, or multiply entry by entry by jets, the
+        leading axes broadcast as in numpy; every product keeps its
+        operands in order, so ``c * M`` is ``c * M[i, j]`` entry by entry."""
         if not isinstance(other, _JetArray):
             return self._like(self.coeffs * complex(other))
-        if not isinstance(other, Jet):
-            return NotImplemented
         chart, a, b = _operands(self, other)
         acc = min(self.accuracy, other.accuracy)
-        return self._wrap(chart, _product(chart, a, b, acc), acc,
-                          self.degree + other.degree)
+        out = _product(chart, a, b, acc)
+        return _array_class(out.ndim - 1)._wrap(chart, out, acc,
+                                                self.degree + other.degree)
 
     __rmul__ = __mul__
 
@@ -558,12 +592,6 @@ class _JetArray:
             pad = np.zeros(c.shape[:-1] + (size - c.shape[-1],), dtype=np.complex128)
             c = np.concatenate((c, pad), axis=-1)
         return self._like(c[..., :size], accuracy)
-
-    def lift(self, context: JetContext):
-        """This jet on ``context``: a spatial jet goes onto a full chart of
-        its n, K and xi0; any other chart must be compatible with its own."""
-        return self._wrap(context, _coeffs_on(context, self), self.accuracy,
-                          self.degree)
 
     def spatial_part(self):
         """The part with no hyperplane-offset content, on the spatial chart;
@@ -663,6 +691,13 @@ class _JetArray:
             self._exponents()[:, :self.context.dimension].sum(axis=1) <= bound)
 
 
+def _array_class(ndim: int) -> type:
+    """The class of jets under ``ndim`` leading axes."""
+    if ndim == 0:
+        return Jet
+    return JetMatrix if ndim == 2 else _JetArray
+
+
 class Jet(_JetArray):
     """One truncated Taylor expansion tied to a :class:`JetContext`.
 
@@ -702,15 +737,6 @@ class Jet(_JetArray):
         exps = [0] * context.nvars
         exps[var] = 1
         return cls.from_coefficients(context, {tuple(exps): 1.0})
-
-    @classmethod
-    def x_var(cls, context: JetContext, j: int) -> "Jet":
-        return cls.variable(context, context.x_index(j))
-
-    @classmethod
-    def xi_offset(cls, context: JetContext, k: int) -> "Jet":
-        """The hyperplane offset t_k (degree 0)."""
-        return cls.variable(context, context.xi_index(k))
 
     @classmethod
     def xi_component(cls, context: JetContext, a: int) -> "Jet":
@@ -850,11 +876,6 @@ class JetMatrix(_JetArray):
         self.coeffs.flags.writeable = False
 
     @classmethod
-    def _wrap(cls, context, coeffs, accuracy, degree):
-        coeffs.flags.writeable = False
-        return super()._wrap(context, coeffs, accuracy, degree)
-
-    @classmethod
     def zeros(cls, context: JetContext, rows: int, cols: int) -> "JetMatrix":
         return cls(context, [[Jet.zero(context)] * cols for _ in range(rows)])
 
@@ -873,6 +894,19 @@ class JetMatrix(_JetArray):
     def column(cls, context: JetContext, jets) -> "JetMatrix":
         return cls(context, [[j] for j in jets])
 
+    @classmethod
+    def block(cls, context: JetContext, blocks) -> "JetMatrix":
+        """The matrix of rows of matrix blocks, trusted to the lowest of
+        their accuracies; its nonzero blocks must share one degree."""
+        flat = [b for row in blocks for b in row]
+        accuracy = min(b.accuracy for b in flat)
+        size = context.sizes[accuracy]
+        coeffs = np.concatenate([
+            np.concatenate([_coeffs_on(context, b)[..., :size] for b in row],
+                           axis=1)
+            for row in blocks])
+        return cls._wrap(context, coeffs, accuracy, _common_degree(flat))
+
     @property
     def rows(self) -> int:
         return self.coeffs.shape[0]
@@ -882,14 +916,12 @@ class JetMatrix(_JetArray):
         return self.coeffs.shape[1]
 
     def __getitem__(self, key):
-        """``m[i, j]`` is an entry; ``m[i]`` is row i, a tuple of entries."""
-        try:
-            i, j = key
-        except TypeError:  # an int: entry reads stay free of the check
-            return tuple(Jet._wrap(self.context, c, self.accuracy, self.degree)
-                         for c in self.coeffs[key])
-        return Jet._wrap(self.context, self.coeffs[i, j], self.accuracy,
-                         self.degree)
+        """``m[i, j]`` is an entry and ``m[i]`` is row i, a tuple of
+        entries; slices give matrices or vectors of jets."""
+        if not isinstance(key, (int, np.integer)):
+            return super().__getitem__(key)
+        return tuple(Jet._wrap(self.context, c, self.accuracy, self.degree)
+                     for c in self.coeffs[key])
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         if self.cols != other.rows:
@@ -903,9 +935,6 @@ class JetMatrix(_JetArray):
             out += _product(ctx, a[:, k:k + 1], b[k:k + 1], acc)
         return self._wrap(ctx, out, acc, self.degree + other.degree)
 
-    def transpose(self) -> "JetMatrix":
-        return self._like(self.coeffs.transpose(1, 0, 2))
-
     def symmetrized(self) -> "JetMatrix":
         """Each off-diagonal pair replaced by its mean; the diagonal kept as is."""
         out = self.coeffs.copy()
@@ -916,6 +945,19 @@ class JetMatrix(_JetArray):
     def __repr__(self):
         return (f"JetMatrix({self.rows}x{self.cols}, accuracy={self.accuracy}, "
                 f"degree={self.degree})")
+
+
+def stack(arrays, axis: int = 0) -> _JetArray:
+    """Jet arrays of one shape and degree joined along a new leading axis
+    ``axis`` on the chart of the first, trusted to the lowest of their
+    accuracies."""
+    chart = arrays[0].context
+    accuracy = min(x.accuracy for x in arrays)
+    size = chart.sizes[accuracy]
+    coeffs = np.stack([_coeffs_on(chart, x)[..., :size] for x in arrays],
+                      axis=axis)
+    return _array_class(coeffs.ndim - 1)._wrap(chart, coeffs, accuracy,
+                                               arrays[0].degree)
 
 
 def mat_inverse(matrix: JetMatrix) -> JetMatrix:

@@ -39,6 +39,9 @@ from .scenes import (
 )
 from .symbols import SymbolLevels
 
+__all__ = ["SYMBOLS_SCHEMA", "observed_from_json", "recovered_from_json",
+           "recovered_to_json", "symbols_to_json"]
+
 SYMBOLS_SCHEMA = 2
 
 

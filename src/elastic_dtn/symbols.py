@@ -42,6 +42,7 @@ from .jets import (
     JetMatrix,
     reciprocal,
     sqrt,
+    stack,
 )
 
 
@@ -178,8 +179,7 @@ def factorization(ginv: JetMatrix, lame: LameJet,
 def build_context(metric: MetricJet, lame: LameJet,
                   chart: JetContext) -> SymbolContext:
     """Assemble every symbol-side jet for one admissible chart."""
-    n = chart.dimension
-    nn = n - 1
+    nn = chart.dimension - 1
     geo = prepare(metric)
     gamma, trace = geo.gamma, geo.trace
     lam, mu = lame.lam, lame.mu
@@ -198,45 +198,36 @@ def build_context(metric: MetricJet, lame: LameJet,
     b1 = JetMatrix(chart, [[zero] * nn + [ratio_up[a]] for a in range(nn)]
                    + [[1j * (lam + mu) * inv_l2m * x for x in xi_down] + [zero]])
 
-    # tangential block, degree-one part
-    scalar = Jet.zero(chart)
-    for a in range(nn):
-        scalar = scalar + xi_up[a] * trace[a] + xi_up[a].dx(a)
-    xi_grad_mu = Jet.zero(chart)
-    for a in range(nn):
-        xi_grad_mu = xi_grad_mu + xi_down[a] * grad_mu[a]
-
-    shear_up = [2j * mu * inv_l2m * xi_up[c] for c in range(nn)]
-    lam_normal = 1j * inv_l2m * lam.dn()
-    mu_normal = 1j * inv_mu * mu.dn()
-
-    def c1_entry(a: int, b: int) -> Jet:
-        if a == nn and b == nn:
-            return 1j * mu * inv_l2m * scalar + 1j * inv_l2m * xi_grad_mu
-        if a == nn:
-            entry = Jet.zero(chart)
-            for c in range(nn):
-                entry = entry + shear_up[c] * gamma[nn, c, b]
-            return entry + lam_normal * xi_down[b]
-        if b == nn:
-            entry = ratio * trace[nn] * xi_up[a]
-            for c in range(nn):
-                entry = entry + 2j * xi_up[c] * gamma[a, c, nn]
-            return entry + mu_normal * xi_up[a]
-        entry = ratio_up[a] * trace[b]
-        for c in range(nn):
-            entry = entry + 2j * xi_up[c] * gamma[a, c, b]
-        entry = entry + 1j * inv_mu * (xi_down[b] * grad_lam[a]
-                                       + xi_up[a] * mu.dx(b))
-        if a == b:
-            entry = entry + 1j * scalar + 1j * inv_mu * xi_grad_mu
-        return entry
+    # tangential block, degree-one part; every sum keeps the order of the
+    # entry-by-entry formula, whose last bits symbols documents carry
+    up, down = stack(xi_up), stack(xi_down)
+    # xi^a trace_a and d_a xi^a, added in turn
+    div = stack([xi_up[a].dx(a) for a in range(nn)])
+    scalar = stack([up * trace[:nn], div], axis=1).reshape(2 * nn).sum()
+    xi_grad_mu = (down * grad_mu).sum()
+    top = JetMatrix.block(chart, [[
+        stack(ratio_up).reshape(nn, 1) * trace[:nn].reshape(1, nn),
+        (ratio * trace[nn] * up).reshape(nn, 1)]])
+    for c in range(nn):
+        top = top + 2j * xi_up[c] * gamma[:nn, c]
+    dmu = stack([mu.dx(b) for b in range(nn)])
+    tangential = top[:, :nn] + 1j * inv_mu * (
+        down.reshape(1, nn) * grad_lam.reshape(nn, 1)
+        + up.reshape(nn, 1) * dmu.reshape(1, nn))
+    eye = JetMatrix.identity(chart, nn)
+    tangential = tangential + eye * (1j * scalar) \
+        + eye * (1j * inv_mu * xi_grad_mu)
+    shear = 2j * mu * inv_l2m * up
+    c1 = JetMatrix.block(chart, [
+        [tangential, top[:, nn:] + (1j * inv_mu * mu.dn() * up).reshape(nn, 1)],
+        [shear.reshape(1, nn) @ gamma[nn, :nn, :nn]
+         + 1j * inv_l2m * lam.dn() * down.reshape(1, nn),
+         (1j * mu * inv_l2m * scalar
+          + 1j * inv_l2m * xi_grad_mu).reshape(1, 1)]])
 
     return SymbolContext(
         **vars(fac), geo=geo, lead=leading_coefficient(lame, chart),
-        b1=b1, b0=normal_multiplier_matrix(geo, lame),
-        c1=JetMatrix(chart, [[c1_entry(a, b) for b in range(n)]
-                             for a in range(n)]))
+        b1=b1, b0=normal_multiplier_matrix(geo, lame), c1=c1)
 
 
 def q1(ctx: SymbolContext) -> JetMatrix:
@@ -384,9 +375,9 @@ def p1_matrix(ctx: SymbolContext) -> JetMatrix:
 def _gamma_correction(ctx: SymbolContext) -> JetMatrix:
     """Connection-trace correction entering the degree-zero boundary level."""
     n = ctx.chart.dimension
-    zero = Jet.zero(ctx.chart)
-    return JetMatrix(ctx.chart, [[zero] * n] * (n - 1)
-                     + [[ctx.lame.lam * t for t in ctx.geo.trace]])
+    row = (ctx.lame.lam * ctx.geo.trace).reshape(1, n)
+    return JetMatrix.block(ctx.chart,
+                           [[JetMatrix.zeros(ctx.chart, n - 1, n)], [row]])
 
 
 def q_levels(ctx: SymbolContext, depth: int) -> SymbolLevels:

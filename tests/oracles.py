@@ -115,6 +115,23 @@ def homogeneous_value(jet, x, covector):
     return s ** jet.degree * evaluate(jet, x=x, xi_offset=t)
 
 
+def lift(x, chart):
+    """A jet, or matrix of jets, of x alone on the full ``chart``: each
+    coefficient, signed zeros included, keyed by its x-exponents followed by
+    zero offset exponents."""
+    pad = (0,) * (chart.nvars - x.context.nvars)
+
+    def one(jet):
+        return type(jet).from_coefficients(
+            chart, {m + pad: v for m, v in zip(jet.context.monomials, jet.coeffs)},
+            jet.accuracy, jet.degree)
+
+    if x.coeffs.ndim == 1:
+        return one(x)
+    return type(x)(chart, [[one(x[i, j]) for j in range(x.cols)]
+                           for i in range(x.rows)])
+
+
 def jet_to_poly(jet):
     return {tuple(k): v for k, v in jet.coefficients().items()}
 

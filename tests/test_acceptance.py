@@ -123,7 +123,7 @@ def test_criterion_04_algebraic_structure(scene_set):
 
 def test_criterion_05_euclidean_degeneration():
     chart = JetContext(2, 6, (1.0,))
-    metric = MetricJet.euclidean(chart)
+    metric = MetricJet(chart, JetMatrix.identity(chart, 1))
     lame = LameJet.constant(chart, 1.0, 1.0)
     ctx = build_context(metric, lame, chart)
     symbols = dtn_symbols(ctx, 2)
@@ -195,7 +195,7 @@ def test_criterion_06_gamma_identities_and_positivity(scene_set):
 
 def test_criterion_07_hand_verified_scene():
     chart = JetContext(2, 6, (1.0,))
-    metric = MetricJet(chart, [[1 + Jet.x_var(chart, 1)]])
+    metric = MetricJet(chart, [[1 + Jet.variable(chart, 1)]])
     lame = LameJet.constant(chart, 1.0, 1.0)
     ctx = build_context(metric, lame, chart)
     symbols = dtn_symbols(ctx, 1)

@@ -1,7 +1,10 @@
-"""Source hygiene: no module imports a name it never uses, and no private
-name under ``src/`` is defined and never used."""
+"""Source hygiene: no module imports a name it never uses, no private name
+under ``src/`` is defined and never used, and no public function or method
+under ``src/`` is left that ``src/`` never calls and ``__all__`` does not
+export."""
 
 import ast
+import collections
 import functools
 from pathlib import Path
 
@@ -100,3 +103,47 @@ def test_private_names_are_used(path):
               if name not in elsewhere
               and name not in set(_references(_tree(path), skip=node))]
     assert not unused, f"{path.name} defines but never uses: {', '.join(unused)}"
+
+
+def _exported() -> set:
+    """Every name listed in an ``__all__`` under ``src/``."""
+    names = set()
+    for path in SOURCES:
+        for node in _tree(path).body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__"
+                            for t in node.targets)):
+                names.update(e.value for e in node.value.elts)
+    return names
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, owner, definition) for each public module-level function and
+    each public method; ``owner`` is the class of a method, else None."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, None, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, node.name, item
+
+
+@functools.cache
+def _all_references() -> collections.Counter:
+    return collections.Counter(name for path in SOURCES
+                               for name in _references(_tree(path)))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_public_names_are_used_or_exported(path):
+    # a method counts as exported with its class; a definition's reference
+    # to itself does not count
+    exported = _exported()
+    unused = [f"{owner + '.' if owner else ''}{name} (line {node.lineno})"
+              for name, owner, node in _public_definitions(_tree(path))
+              if not name.startswith("_") and name not in exported
+              and owner not in exported
+              and _all_references()[name] == list(_references(node)).count(name)]
+    assert not unused, (f"{path.name} defines, and neither uses nor exports: "
+                        f"{', '.join(unused)}")

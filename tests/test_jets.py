@@ -77,7 +77,7 @@ def test_context_mismatch_checked():
 
 def test_mul_polynomial_identity():
     ctx = make_context()
-    xn = Jet.x_var(ctx, 1)
+    xn = Jet.variable(ctx, 1)
     prod = (1 + xn) * (1 + xn)
     expected = Jet.from_coefficients(ctx, {(0, 0): 1, (0, 1): 2, (0, 2): 1})
     assert prod.allclose(expected)
@@ -93,8 +93,8 @@ def test_mul_identity_element():
 def test_mul_complex_offset_variables():
     # (x1 + i*t1)(x1 - i*t1) = x1^2 + t1^2 with t1 the hyperplane offset
     ctx = make_context(n=3, xi0=(1.0, 0.5))
-    x1 = Jet.x_var(ctx, 0)
-    xi = Jet.xi_offset(ctx, 0)
+    x1 = Jet.variable(ctx, 0)
+    xi = Jet.variable(ctx, ctx.xi_index(0))
     prod = (x1 + 1j * xi) * (x1 - 1j * xi)
     expected = Jet.from_coefficients(ctx, {(2, 0, 0, 0): 1, (0, 0, 0, 2): 1})
     assert prod.allclose(expected)
@@ -211,7 +211,7 @@ def test_matrix_products_match_entrywise_reference(r, c, s, kinds):
 def test_matrix_entries_are_read_only_views():
     ctx = make_context(n=2, K=4)
     rng = np.random.default_rng(9)
-    m = JetMatrix(ctx, [[random_jet(ctx, rng), Jet.x_var(ctx, 0)],
+    m = JetMatrix(ctx, [[random_jet(ctx, rng), Jet.variable(ctx, 0)],
                         [Jet.constant(ctx, 2.0), random_jet(ctx, rng)]])
     entry = m[0, 1]
     assert np.shares_memory(entry.coeffs, m.coeffs)
@@ -313,7 +313,7 @@ def test_reciprocal_against_oracle_and_roundtrip():
 
 def test_reciprocal_geometric_series():
     ctx = make_context(K=5)
-    xn = Jet.x_var(ctx, 1)
+    xn = Jet.variable(ctx, 1)
     inv = reciprocal(1 + xn)
     expected = Jet.from_coefficients(
         ctx, {(0, d): (-1.0) ** d for d in range(6)})
@@ -324,13 +324,13 @@ def test_reciprocal_geometric_series():
 def test_reciprocal_rejects_vanishing_constant():
     ctx = make_context()
     with pytest.raises(NotInvertible):
-        reciprocal(Jet.x_var(ctx, 0))
+        reciprocal(Jet.variable(ctx, 0))
 
 
 def test_sqrt_binomial_series_and_roundtrip():
     ctx = make_context(K=6)
     assert sqrt(Jet.constant(ctx, 4.0)).allclose(2.0)
-    xn = Jet.x_var(ctx, 1)
+    xn = Jet.variable(ctx, 1)
     s = sqrt(1 + xn)
     coeffs = {(0, 0): 1.0, (0, 1): 0.5, (0, 2): -0.125}
     for exps, v in coeffs.items():
@@ -355,7 +355,7 @@ def test_sqrt_rejects_bad_constant_terms():
 
 def test_partial_basics():
     ctx = make_context()
-    xn = Jet.x_var(ctx, 1)
+    xn = Jet.variable(ctx, 1)
     assert (xn * xn).dx(1).allclose(2 * xn)
     assert Jet.constant(ctx, 5.0).dx(0).allclose(0.0)
     # d(xi1^2)/dxi1 = 2*xi1 = 2*xi0 + 2*offset because xi1 = xi0 + offset
@@ -365,7 +365,7 @@ def test_partial_basics():
 
 def test_partial_lowers_accuracy_and_exhausts():
     ctx = make_context(K=2)
-    a = Jet.x_var(ctx, 0)
+    a = Jet.variable(ctx, 0)
     d1 = a.partial(0)
     assert d1.accuracy == ctx.truncation_order - 1
     d2 = d1.partial(0)
@@ -429,7 +429,7 @@ def test_accuracy_minimum_under_binary_ops():
 def test_tiny_jet_compares_equal_to_zero():
     ctx = make_context()
     dust = Jet.from_coefficients(ctx, {m: 1e-15 for m in ctx.monomials})
-    assert dust.is_zero(tol=1e-12)
+    assert dust.allclose(0.0, 1e-12)
 
 
 def test_finite_difference_matches_partial():
@@ -498,7 +498,7 @@ def test_hyperplane_basis_is_orthonormal_and_fixed_by_the_direction(xi0):
 def test_homogeneity_degrees_follow_the_operations():
     ctx = make_context(n=3, K=5, xi0=(0.8, -0.6))
     xi = [Jet.xi_component(ctx, a) for a in range(2)]
-    x1 = Jet.x_var(ctx, 0)
+    x1 = Jet.variable(ctx, 0)
     assert [e.degree for e in xi] == [1, 1] and x1.degree == 0
     assert (xi[0] * xi[1] * x1).degree == 2
     norm_sq = xi[0] * xi[0] + xi[1] * xi[1]
@@ -539,9 +539,9 @@ def test_evaluate_matches_direct_polynomial():
 
 def test_at_boundary_and_substitute_xi():
     ctx = make_context(n=3, K=4, xi0=(1.0, 0.5))
-    xn = Jet.x_var(ctx, 2)
-    x1 = Jet.x_var(ctx, 0)
-    xi = Jet.xi_offset(ctx, 0)
+    xn = Jet.variable(ctx, 2)
+    x1 = Jet.variable(ctx, 0)
+    xi = Jet.variable(ctx, ctx.xi_index(0))
     a = 1 + x1 * xn + xn * xn + x1 * xi
     restricted = a.at_boundary()
     assert restricted.allclose(1 + x1 * xi)
@@ -554,12 +554,12 @@ def test_matrix_inverse_identity_and_diagonal():
     ctx = make_context(K=5)
     eye = JetMatrix.identity(ctx, 2)
     assert mat_inverse(eye).allclose(eye)
-    xn = Jet.x_var(ctx, 1)
+    xn = Jet.variable(ctx, 1)
     m = JetMatrix.diagonal(ctx, [1 + xn, Jet.constant(ctx, 2.0)])
     inv = mat_inverse(m)
     assert inv[0, 0].allclose(reciprocal(1 + xn))
     assert inv[1, 1].allclose(0.5)
-    assert inv[0, 1].is_zero() and inv[1, 0].is_zero()
+    assert inv[0, 1].allclose(0.0) and inv[1, 0].allclose(0.0)
 
 
 def test_matrix_inverse_random_roundtrip():
@@ -701,3 +701,59 @@ def test_matrix_products_keep_two_tables_of_gather_memory():
     thread.start()
     thread.join()
     assert sizes == [2 * len(ctx.mul_table()[0])]
+
+
+def test_jet_times_array_keeps_the_jet_on_the_left():
+    # jet products are not bitwise commutative, so c * M must be c * M[i, j]
+    # entry by entry, not M[i, j] * c
+    ctx = make_context(n=3, K=5, xi0=(0.7, -1.1))
+    rng = np.random.default_rng(21)
+    c = random_jet(ctx, rng, degree=5)
+    m = JetMatrix(ctx, [[random_jet(ctx, rng, degree=5) for _ in range(3)]
+                        for _ in range(2)])
+    m = JetMatrix._wrap(ctx, m.coeffs, m.accuracy, 1)
+    scaled = c * m
+    assert isinstance(scaled, JetMatrix) and scaled.degree == 1
+    assert any(not np.array_equal((c * m[i, j]).coeffs, (m[i, j] * c).coeffs)
+               for i in range(2) for j in range(3))
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(scaled[i, j].coeffs, (c * m[i, j]).coeffs)
+            assert np.array_equal((m * c)[i, j].coeffs, (m[i, j] * c).coeffs)
+
+
+
+def test_jet_arrays_index_stack_block_and_sum_entry_by_entry():
+    ctx = make_context(n=3, K=4, xi0=(0.7, -1.1))
+    rng = np.random.default_rng(22)
+    entries = [[[random_jet(ctx, rng, degree=4) for _ in range(2)]
+                for _ in range(3)] for _ in range(2)]
+    a = jets.stack([jets.stack([jets.stack(row) for row in plane])
+                    for plane in entries])
+    assert a.coeffs.shape == (2, 3, 2, ctx.sizes[4])
+    assert np.array_equal(a[1, 2, 0].coeffs, entries[1][2][0].coeffs)
+    assert isinstance(a[0, :2], JetMatrix) and a[1, :, 0].coeffs.shape[0] == 3
+    assert np.array_equal(a.transpose(2, 0, 1)[1, 0, 2].coeffs,
+                          a[0, 2, 1].coeffs)
+    # an index may not reach the coefficient axis
+    for key in ((0, 0, 0, 0), (..., 0), (None, 0)):
+        with pytest.raises(IndexError):
+            a[key]
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, :, 0].coeffs[0, 0] = 1.0
+    # stacks and blocks are trusted to the lowest accuracy
+    low = entries[1][2][0].with_accuracy(2)
+    assert jets.stack([entries[0][0][0], low]).coeffs.shape == (2, ctx.sizes[2])
+    m = a[0, :2]
+    block = JetMatrix.block(ctx, [[m, m[:, :1]], [low.reshape(1, 1), m[:1]]])
+    assert block.accuracy == 2 and block.coeffs.shape == (3, 3, ctx.sizes[2])
+    assert np.array_equal(block[2, 1].coeffs, m[0, 0].coeffs[:ctx.sizes[2]])
+    # a sum over the first axis adds its terms in order
+    assert np.array_equal(a.sum().coeffs, (a[0, :, :] + a[1, :, :]).coeffs)
+    # entrywise products broadcast, each keeping its left operand
+    col, row = a[0, :, 0].reshape(3, 1), a[1, 0, :].reshape(1, 2)
+    outer = col * row
+    for i in range(3):
+        for j in range(2):
+            assert np.array_equal(outer[i, j].coeffs,
+                                  (col[i, 0] * row[0, j]).coeffs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elastic_dtn import AccuracyExhausted, Jet, JetContext, JetMatrix, mat_inverse
-from elastic_dtn.geometry import LameJet, MetricJet
+from elastic_dtn.geometry import LameJet, MetricJet, assemble_full_metric
 from elastic_dtn.scenes import random_scene, scene_from_json, scene_to_json
 from elastic_dtn.symbols import (
     SymbolLevels,
@@ -21,7 +21,7 @@ from oracles import homogeneous_value
 
 def euclidean_context(n=2, K=6, xi0=None, lam=1.0, mu=1.0):
     ctx = JetContext(n, K, xi0 or (1.0,) * (n - 1))
-    metric = MetricJet.euclidean(ctx)
+    metric = MetricJet(ctx, JetMatrix.identity(ctx, ctx.dimension - 1))
     lame = LameJet.constant(ctx, lam, mu)
     return build_context(metric, lame, ctx), metric, lame
 
@@ -29,7 +29,7 @@ def euclidean_context(n=2, K=6, xi0=None, lam=1.0, mu=1.0):
 def hand_scene_context(K=6):
     """n=2, g_11 = 1 + x_n, lambda = mu = 1, base covector 1."""
     ctx = JetContext(2, K, (1.0,))
-    metric = MetricJet(ctx, [[1 + Jet.x_var(ctx, 1)]])
+    metric = MetricJet(ctx, [[1 + Jet.variable(ctx, 1)]])
     lame = LameJet.constant(ctx, 1.0, 1.0)
     return build_context(metric, lame, ctx), metric, lame
 
@@ -56,7 +56,7 @@ def test_context_euclidean_closed_forms():
     assert_entry(ctx.f1, 0, 1, 1j)
     assert_entry(ctx.f1, 1, 0, 1j)
     assert_entry(ctx.f1, 1, 1, -1.0)
-    assert ctx.b0.is_zero() and ctx.c1.is_zero() and ctx.c0.is_zero()
+    assert ctx.b0.allclose(0.0) and ctx.c1.allclose(0.0) and ctx.c0.allclose(0.0)
 
 
 def test_q1_euclidean_and_degenerate():
@@ -109,7 +109,7 @@ def random_matrix(ctx, rng, degree=2):
 def test_solve_q_zero_and_defining_equation():
     ctx, _ = random_context(4, dimension=2)
     zero = JetMatrix.zeros(ctx.chart, 2, 2)
-    assert solve_q(zero, ctx).is_zero()
+    assert solve_q(zero, ctx).allclose(0.0)
     rng = np.random.default_rng(0)
     principal = q1(ctx)
     for _ in range(3):
@@ -246,7 +246,7 @@ def test_difference_law_first_order():
     scene = random_scene(21, dimension=2, truncation_order=6)
     ctx_a = build_context(scene.metric, scene.lame, scene.context)
     chart = scene.context
-    xn = Jet.x_var(chart, 1)
+    xn = Jet.variable(chart, 1)
     delta = 0.3
     entries_b = [[scene.metric.tangential_matrix()[0, 0] + delta * xn]]
     metric_b = MetricJet(chart, entries_b)
@@ -284,7 +284,7 @@ def test_difference_law_first_order_dimension3():
     scene = random_scene(23, dimension=3, truncation_order=6)
     chart = scene.context
     ctx_a = build_context(scene.metric, scene.lame, chart)
-    xn = Jet.x_var(chart, 2)
+    xn = Jet.variable(chart, 2)
     bump = [[0.25, -0.15], [-0.15, 0.1]]
     entries_b = [[scene.metric.tangential_matrix()[a, b] + bump[a][b] * xn
                   for b in range(2)] for a in range(2)]
@@ -327,7 +327,7 @@ def test_difference_law_second_order():
     scene = random_scene(22, dimension=2, truncation_order=6)
     chart = scene.context
     ctx_a = build_context(scene.metric, scene.lame, chart)
-    xn = Jet.x_var(chart, 1)
+    xn = Jet.variable(chart, 1)
     delta = 0.4
     g11 = scene.metric.tangential_matrix()[0, 0]
     metric_b = MetricJet(chart, [[g11 + delta * 0.5 * xn * xn]])
@@ -500,3 +500,138 @@ def test_level_of_degree_d_is_trusted_to_K_minus_1_plus_d(n, K, M):
             d: K - 1 + d for d in levels.levels}
     with pytest.raises(AccuracyExhausted):
         q_levels(ctx, K)
+
+
+def _entrywise_connection_blocks(scene, fac):
+    """Gamma, its traces, the raised gradients of lambda and mu, b0, c0 and
+    c1 written entry by entry, each sum from a zero jet in its formula's
+    order: the reference for the array formulas."""
+    g = assemble_full_metric(scene.metric)
+    ginv = mat_inverse(g)
+    spatial, chart = g.context, fac.chart
+    n = spatial.dimension
+    nn = n - 1
+    lam, mu = scene.lame.lam, scene.lame.mu
+    inv_mu, inv_l2m = scene.lame.inv_mu, scene.lame.inv_l2m
+    xi_down, xi_up = fac.xi_down, fac.xi_up
+
+    dg = [[[g[k, m].dx(l) for l in range(n)] for m in range(n)] for k in range(n)]
+    lower = {}
+    for j in range(n):
+        for k in range(n):
+            for l in range(k + 1):
+                acc = Jet.zero(spatial)
+                for m in range(n):
+                    acc = acc + ginv[j, m] * (dg[k][m][l] + dg[l][m][k]
+                                              - dg[k][l][m])
+                lower[j, k, l] = acc * 0.5
+    gamma = {(j, k, l): lower[j, max(k, l), min(k, l)]
+             for j in range(n) for k in range(n) for l in range(n)}
+    trace = []
+    for b in range(n):
+        acc = Jet.zero(spatial)
+        for c in range(nn):
+            acc = acc + gamma[c, c, b]
+        trace.append(acc)
+
+    def raised(f):
+        grad = []
+        for a in range(nn):
+            acc = Jet.zero(spatial)
+            for b in range(nn):
+                acc = acc + ginv[a, b] * f.dx(b)
+            grad.append(acc)
+        return grad
+
+    grad_lam, grad_mu = raised(lam), raised(mu)
+
+    rows = []
+    for a in range(nn):
+        row = [2 * gamma[a, b, nn] for b in range(nn)]
+        row[a] = row[a] + trace[nn] + inv_mu * mu.dn()
+        rows.append(row + [inv_mu * grad_lam[a]])
+    rows.append([(lam + mu) * inv_l2m * trace[a] + inv_l2m * mu.dx(a)
+                 for a in range(nn)]
+                + [trace[nn] + inv_l2m * (lam + 2 * mu).dn()])
+    b0 = JetMatrix(spatial, rows)
+
+    def contracted(j, k):
+        acc = Jet.zero(spatial)
+        for m in range(n):
+            for l in range(n):
+                acc = acc + ginv[m, l] * gamma[j, m, l].dx(k)
+        return acc
+
+    s_ratio = (lam + mu) * inv_mu
+
+    def c0_entry(a, b):
+        if a == nn:
+            return (lam + mu) * inv_l2m * trace[b].dn() \
+                + mu * inv_l2m * contracted(nn, b) \
+                + inv_l2m * lam.dn() * trace[b]
+        out = contracted(a, b)
+        for c in range(nn):
+            out = out + s_ratio * ginv[a, c] * trace[b].dx(c)
+            out = out - inv_mu * mu.dx(c) * ginv[a, c].dx(b)
+        return out + inv_mu * grad_lam[a] * trace[b]
+
+    c0 = JetMatrix(spatial, [[c0_entry(a, b) for b in range(n)] for a in range(n)])
+
+    ratio = 1j * (lam + mu) * inv_mu
+    scalar = Jet.zero(chart)
+    for a in range(nn):
+        scalar = scalar + xi_up[a] * trace[a] + xi_up[a].dx(a)
+    xi_grad_mu = Jet.zero(chart)
+    for a in range(nn):
+        xi_grad_mu = xi_grad_mu + xi_down[a] * grad_mu[a]
+
+    def c1_entry(a, b):
+        if a == nn and b == nn:
+            return 1j * mu * inv_l2m * scalar + 1j * inv_l2m * xi_grad_mu
+        if a == nn:
+            entry = Jet.zero(chart)
+            for c in range(nn):
+                entry = entry + 2j * mu * inv_l2m * xi_up[c] * gamma[nn, c, b]
+            return entry + 1j * inv_l2m * lam.dn() * xi_down[b]
+        if b == nn:
+            entry = ratio * trace[nn] * xi_up[a]
+            for c in range(nn):
+                entry = entry + 2j * xi_up[c] * gamma[a, c, nn]
+            return entry + 1j * inv_mu * mu.dn() * xi_up[a]
+        entry = ratio * xi_up[a] * trace[b]
+        for c in range(nn):
+            entry = entry + 2j * xi_up[c] * gamma[a, c, b]
+        entry = entry + 1j * inv_mu * (xi_down[b] * grad_lam[a]
+                                       + xi_up[a] * mu.dx(b))
+        if a == b:
+            entry = entry + 1j * scalar + 1j * inv_mu * xi_grad_mu
+        return entry
+
+    c1 = JetMatrix(chart, [[c1_entry(a, b) for b in range(n)] for a in range(n)])
+    return {"gamma": gamma, "trace": trace, "grad_lam": grad_lam,
+            "grad_mu": grad_mu, "b0": b0, "c0": c0, "c1": c1}
+
+
+def _same_bits(got, expected):
+    """Equal accuracy and degree, and equal coefficient bits once every
+    zero is +0.0."""
+    return (got.accuracy == expected.accuracy
+            and got.degree == expected.degree
+            and (got.coeffs + 0.0).tobytes() == (expected.coeffs + 0.0).tobytes())
+
+
+@pytest.mark.parametrize("n,K,seed", [(2, 6, 1), (3, 5, 2), (4, 4, 3)])
+def test_connection_blocks_match_entrywise_reference(n, K, seed):
+    ctx, scene = random_context(seed, dimension=n, K=K)
+    reference = _entrywise_connection_blocks(scene, ctx)
+    geo = ctx.geo
+    for (j, k, l), expected in reference["gamma"].items():
+        assert _same_bits(geo.gamma[j, k, l], expected), (j, k, l)
+    for b, expected in enumerate(reference["trace"]):
+        assert _same_bits(geo.trace[b], expected), b
+    for f, name in ((scene.lame.lam, "grad_lam"), (scene.lame.mu, "grad_mu")):
+        grad = geo.raised_gradient(f)
+        for a, expected in enumerate(reference[name]):
+            assert _same_bits(grad[a], expected), (name, a)
+    for name in ("b0", "c0", "c1"):
+        assert _same_bits(getattr(ctx, name), reference[name]), name
