@@ -23,7 +23,7 @@ from elastic_dtn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 HASHES = Path(__file__).resolve().parent / "output_hashes.json"
-SCENES = ("curved_scene", "euclidean")
+SCENES = ("curved_scene", "euclidean", "random_3_5_2")
 
 
 def _run(argv: list) -> tuple[int, bytes]:
