@@ -876,19 +876,34 @@ class JetMatrix(_JetArray):
         self.coeffs.flags.writeable = False
 
     @classmethod
+    def _constant(cls, context: JetContext, values: np.ndarray,
+                  accuracy: int | None = None) -> "JetMatrix":
+        """The matrix of constants ``values``, trusted to ``accuracy``
+        (default: K)."""
+        accuracy = _trusted(context, context.truncation_order
+                            if accuracy is None else accuracy)
+        coeffs = np.zeros(values.shape + (context.sizes[accuracy],),
+                          dtype=np.complex128)
+        coeffs[..., 0] = values
+        return cls._wrap(context, coeffs, accuracy, 0)
+
+    @classmethod
     def zeros(cls, context: JetContext, rows: int, cols: int) -> "JetMatrix":
-        return cls(context, [[Jet.zero(context)] * cols for _ in range(rows)])
+        return cls._constant(context, np.zeros((rows, cols)))
 
     @classmethod
     def identity(cls, context: JetContext, size: int) -> "JetMatrix":
-        return cls.diagonal(context, [1.0] * size)
+        return cls._constant(context, np.eye(size))
 
     @classmethod
     def diagonal(cls, context: JetContext, diag) -> "JetMatrix":
         diag = [d if isinstance(d, Jet) else Jet.constant(context, d) for d in diag]
-        zero = Jet.zero(context)
-        return cls(context, [[d if i == j else zero for j in range(len(diag))]
-                             for i, d in enumerate(diag)])
+        accuracy = min(d.accuracy for d in diag)
+        size = context.sizes[accuracy]
+        coeffs = np.zeros((len(diag), len(diag), size), dtype=np.complex128)
+        coeffs[np.diag_indices(len(diag))] = [_coeffs_on(context, d)[:size]
+                                              for d in diag]
+        return cls._wrap(context, coeffs, accuracy, _common_degree(diag))
 
     @classmethod
     def column(cls, context: JetContext, jets) -> "JetMatrix":
@@ -986,9 +1001,8 @@ def mat_inverse(matrix: JetMatrix) -> JetMatrix:
         inv0 = np.linalg.inv(m0)
     except np.linalg.LinAlgError as exc:
         raise NotInvertible("matrix constant term is singular") from exc
-    x = JetMatrix(ctx, [[Jet.constant(ctx, v, matrix.accuracy) for v in row]
-                        for row in inv0])
-    x = JetMatrix._wrap(ctx, x.coeffs, x.accuracy, -matrix.degree)
+    x = JetMatrix._constant(ctx, inv0, matrix.accuracy)
+    x.degree = -matrix.degree
     two_i = JetMatrix.identity(ctx, matrix.rows) * 2.0
     steps = max(1, math.ceil(math.log2(ctx.truncation_order + 1)))
     for _ in range(steps):

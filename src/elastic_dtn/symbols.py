@@ -40,6 +40,7 @@ from .jets import (
     Jet,
     JetContext,
     JetMatrix,
+    _JetArray,
     reciprocal,
     sqrt,
     stack,
@@ -55,8 +56,8 @@ class Factorization:
 
     chart: JetContext
     lame: LameJet
-    xi_down: tuple
-    xi_up: tuple
+    xi_down: _JetArray  # the covector xi_a, for every tangential a
+    xi_up: _JetArray  # the raised covector g^{ab} xi_b
     norm_sq: Jet
     norm: Jet
     inv_norm: Jet
@@ -151,28 +152,22 @@ def factorization(ginv: JetMatrix, lame: LameJet,
     nn = chart.dimension - 1
     lam, mu = lame.lam, lame.mu
 
-    xi_down = tuple(Jet.xi_component(chart, a) for a in range(nn))
-    xi_up = tuple(
-        sum((ginv[a, b] * xi_down[b] for b in range(1, nn)),
-            ginv[a, 0] * xi_down[0])
-        for a in range(nn))
-    norm_sq = sum((xi_up[a] * xi_down[a] for a in range(1, nn)),
-                  xi_up[0] * xi_down[0])
+    down = stack([Jet.xi_component(chart, a) for a in range(nn)])
+    up = (ginv[:nn, :nn] @ down.reshape(nn, 1)).reshape(nn)
+    norm_sq = (up.reshape(1, nn) @ down.reshape(nn, 1))[0, 0]
     norm = sqrt(norm_sq)
     inv_norm = reciprocal(norm)
     s2 = (lam + mu) * lame.inv_l3m
 
-    # shared left-to-right prefixes are computed once: the same products in
-    # the same order, so every bit stays
-    scaled_up = [inv_norm * xi_up[a] for a in range(nn)]
-    outer = [[scaled_up[a] * xi_down[b] for b in range(nn)] for a in range(nn)]
-    f1 = JetMatrix(chart, [outer[a] + [1j * xi_up[a]] for a in range(nn)]
-                   + [[1j * x for x in xi_down] + [-norm]])
+    outer = (inv_norm * up).reshape(nn, 1) * down.reshape(1, nn)
+    corner = (-norm).reshape(1, 1)
+    f1 = JetMatrix.block(chart, [[outer, (1j * up).reshape(nn, 1)],
+                                 [(1j * down).reshape(1, nn), corner]])
     tangential = -1j * (lam + 2 * mu) * lame.inv_mu
     normal = -1j * mu * lame.inv_l2m
-    f2 = JetMatrix(chart, [outer[a] + [tangential * xi_up[a]] for a in range(nn)]
-                   + [[normal * x for x in xi_down] + [-norm]])
-    return Factorization(chart, lame, xi_down, xi_up, norm_sq, norm, inv_norm,
+    f2 = JetMatrix.block(chart, [[outer, (tangential * up).reshape(nn, 1)],
+                                 [(normal * down).reshape(1, nn), corner]])
+    return Factorization(chart, lame, down, up, norm_sq, norm, inv_norm,
                          s2, f1, f2)
 
 
@@ -187,29 +182,29 @@ def build_context(metric: MetricJet, lame: LameJet,
     grad_lam = geo.raised_gradient(lam)
     grad_mu = geo.raised_gradient(mu)
     fac = factorization(geo.ginv, lame, chart)
-    xi_down, xi_up = fac.xi_down, fac.xi_up
+    up, down = fac.xi_up, fac.xi_down
 
-    zero = Jet.zero(chart)
     # shared left-to-right prefixes, computed once (see factorization)
     ratio = 1j * (lam + mu) * inv_mu
-    ratio_up = [ratio * xi_up[a] for a in range(nn)]
+    ratio_up = ratio * up
 
     # first-order block, degree-one part
-    b1 = JetMatrix(chart, [[zero] * nn + [ratio_up[a]] for a in range(nn)]
-                   + [[1j * (lam + mu) * inv_l2m * x for x in xi_down] + [zero]])
+    b1 = JetMatrix.block(chart, [
+        [JetMatrix.zeros(chart, nn, nn), ratio_up.reshape(nn, 1)],
+        [(1j * (lam + mu) * inv_l2m * down).reshape(1, nn),
+         JetMatrix.zeros(chart, 1, 1)]])
 
     # tangential block, degree-one part; every sum keeps the order of the
     # entry-by-entry formula, whose last bits symbols documents carry
-    up, down = stack(xi_up), stack(xi_down)
     # xi^a trace_a and d_a xi^a, added in turn
-    div = stack([xi_up[a].dx(a) for a in range(nn)])
+    div = stack([up[a].dx(a) for a in range(nn)])
     scalar = stack([up * trace[:nn], div], axis=1).reshape(2 * nn).sum()
     xi_grad_mu = (down * grad_mu).sum()
     top = JetMatrix.block(chart, [[
-        stack(ratio_up).reshape(nn, 1) * trace[:nn].reshape(1, nn),
+        ratio_up.reshape(nn, 1) * trace[:nn].reshape(1, nn),
         (ratio * trace[nn] * up).reshape(nn, 1)]])
     for c in range(nn):
-        top = top + 2j * xi_up[c] * gamma[:nn, c]
+        top = top + 2j * up[c] * gamma[:nn, c]
     dmu = stack([mu.dx(b) for b in range(nn)])
     tangential = top[:, :nn] + 1j * inv_mu * (
         down.reshape(1, nn) * grad_lam.reshape(nn, 1)

@@ -562,6 +562,34 @@ def test_matrix_inverse_identity_and_diagonal():
     assert inv[0, 1].allclose(0.0) and inv[1, 0].allclose(0.0)
 
 
+def test_constant_matrices_have_the_bits_of_their_entry_lists():
+    # whole-array builds against the entry-by-entry constructor, every
+    # signed zero included; the diagonal lifts a spatial jet as an entry does
+    ctx = make_context(n=3, K=3, xi0=(1.0, -0.5))
+    zero, one = Jet.zero(ctx), Jet.constant(ctx, 1.0)
+    spatial = Jet.variable(ctx.spatial, 2) * -1.5 - 2.0
+    cases = [
+        (JetMatrix.zeros(ctx, 2, 3), [[zero] * 3] * 2),
+        (JetMatrix.identity(ctx, 3),
+         [[one if i == j else zero for j in range(3)] for i in range(3)]),
+        (JetMatrix.diagonal(ctx, [spatial, -3.0]),
+         [[spatial, zero], [zero, Jet.constant(ctx, -3.0)]]),
+    ]
+    for built, entries in cases:
+        expected = JetMatrix(ctx, entries)
+        assert built.context is ctx
+        assert (built.accuracy, built.degree) == (expected.accuracy,
+                                                  expected.degree)
+        assert built.coeffs.tobytes() == expected.coeffs.tobytes()
+    # the start matrix of mat_inverse, at a lowered accuracy
+    inv0 = np.array([[1.0, -0.0], [0.25j, -2.0 + 0.5j]])
+    start = JetMatrix(ctx, [[Jet.constant(ctx, v, 2) for v in row]
+                            for row in inv0])
+    built = JetMatrix._constant(ctx, inv0, 2)
+    assert built.accuracy == start.accuracy == 2
+    assert built.coeffs.tobytes() == start.coeffs.tobytes()
+
+
 def test_matrix_inverse_random_roundtrip():
     ctx = make_context(n=3, K=4, xi0=(1.0, 0.0))
     rng = np.random.default_rng(2)
