@@ -17,6 +17,12 @@ transcription in :mod:`elastic_dtn.geometry`; the plane-wave consistency
 report ties the two together.  The multiplier levels b_0 and c_0 are
 taken from :mod:`elastic_dtn.geometry`, where the operator identity
 checks them.
+
+Each rule of the recursion is written once.  Every right-hand side E_m is
+one composition sum (:func:`build_E`), whose left factors are the levels
+q_j with p_1 = q_1 - b_1 in place of q_1; every boundary level is
+p_d = lead q_d - T_d (:func:`p_level`), with T the symbol of the
+tangential part of the traction.
 """
 
 from __future__ import annotations
@@ -235,10 +241,15 @@ def q1(ctx: SymbolContext) -> JetMatrix:
 
 
 class _DerivativeCache:
-    """Memoized tangential derivatives of level matrices."""
+    """Memoized tangential derivatives of the composition factors: in xi of
+    the left factors p_j, in x of the levels q_k.
 
-    def __init__(self, levels: dict):
+    p_j is q_j, except p_1 = q_1 - b_1, formed once here.
+    """
+
+    def __init__(self, levels: dict, b1: JetMatrix):
         self.levels = levels
+        self.left_principal = levels[1] - b1
         self.memo = {}
 
     def get(self, degree: int, axis: str, J: tuple) -> JetMatrix:
@@ -247,7 +258,8 @@ class _DerivativeCache:
         if hit is not None:
             return hit
         if not any(J):
-            result = self.levels[degree]
+            result = (self.left_principal if axis == "xi" and degree == 1
+                      else self.levels[degree])
         else:
             a = next(i for i, e in enumerate(J) if e)
             lowered = J[:a] + (J[a] - 1,) + J[a + 1:]
@@ -272,6 +284,14 @@ def build_E(m: int, q: "SymbolLevels | dict", ctx: SymbolContext,
             _cache: _DerivativeCache | None = None) -> JetMatrix:
     """Right-hand side driving the level of degree -(m+1); defined for m >= -1.
 
+        E_m = b0 q_{-m} + dn q_{-m} - c_{-m}
+              - sum (-i)^|J| / J! (d_xi^J p_j) (d_x^J q_k)
+
+    summed over -m <= j, k <= 1 and |J| = j + k + m >= 0, with c_{-m} = c1,
+    c0 at m = -1, 0 and zero below, and p_j = q_j except p_1 = q_1 - b_1.
+    b_1 is linear in xi, so its derivatives of order 2 and above vanish, and
+    its |J| = 0 term is the -b_1 X of :func:`solve_q`.
+
     Requires the levels q_1 .. q_{-m} (with enough accuracy for every
     tangential derivative pairing of combined order m + j + k).
     """
@@ -282,43 +302,13 @@ def build_E(m: int, q: "SymbolLevels | dict", ctx: SymbolContext,
         if degree not in levels:
             raise KeyError(f"missing level of degree {degree} while building "
                            f"the degree-{-m - 1} right-hand side")
-    cache = _cache if _cache is not None else _DerivativeCache(levels)
+    cache = _cache if _cache is not None else _DerivativeCache(levels, ctx.b1)
     nn = ctx.chart.dimension - 1
-
-    def dxi(degree, J):
-        return cache.get(degree, "xi", J)
-
-    def dx(degree, J):
-        return cache.get(degree, "x", J)
-
-    def unit(a):
-        return tuple(1 if i == a else 0 for i in range(nn))
-
     try:
-        if m == -1:
-            qq = levels[1]
-            out = ctx.b0 @ qq + qq.partial(ctx.chart.x_index(ctx.chart.dimension - 1))
-            out = out - ctx.c1
-            for a in range(nn):
-                out = out + 1j * ((dxi(1, unit(a)) - ctx.b1.dxi(a)) @ dx(1, unit(a)))
-            return out
-        if m == 0:
-            q0 = levels[0]
-            out = ctx.b0 @ q0 + q0.partial(ctx.chart.x_index(ctx.chart.dimension - 1))
-            out = out - ctx.c0 - q0 @ q0
-            for a in range(nn):
-                out = out + 1j * ((dxi(1, unit(a)) - ctx.b1.dxi(a)) @ dx(0, unit(a)))
-                out = out + 1j * (dxi(0, unit(a)) @ dx(1, unit(a)))
-            for a in range(nn):
-                for b in range(nn):
-                    Ja = unit(a)
-                    Jab = tuple(x + y for x, y in zip(Ja, unit(b)))
-                    out = out + 0.5 * (dxi(1, Jab) @ dx(1, Jab))
-            return out
         qm = levels[-m]
-        out = ctx.b0 @ qm + qm.partial(ctx.chart.x_index(ctx.chart.dimension - 1))
-        for a in range(nn):
-            out = out - 1j * (ctx.b1.dxi(a) @ dx(-m, unit(a)))
+        out = ctx.b0 @ qm + qm.dn()
+        if m < 1:
+            out = out - (ctx.c1 if m == -1 else ctx.c0)
         for j in range(-m, 2):
             for k in range(-m, 2):
                 order = j + k + m
@@ -327,7 +317,8 @@ def build_E(m: int, q: "SymbolLevels | dict", ctx: SymbolContext,
                 phase = (-1j) ** order
                 for J in _multi_indices(nn, order):
                     coeff = phase / math.prod(map(math.factorial, J))
-                    out = out - coeff * (dxi(j, J) @ dx(k, J))
+                    out = out - coeff * (cache.get(j, "xi", J)
+                                         @ cache.get(k, "x", J))
         return out
     except AccuracyExhausted as exc:
         raise AccuracyExhausted(
@@ -349,32 +340,6 @@ def solve_q(E: JetMatrix, ctx: SymbolContext) -> JetMatrix:
     return E * half - (f2e + ef1) * quarter_sq + f2ef1 * quarter_cu
 
 
-def p1_matrix(ctx: SymbolContext) -> JetMatrix:
-    """Principal boundary symbol in closed form."""
-    chart = ctx.chart
-    nn = chart.dimension - 1
-    lam, mu = ctx.lame.lam, ctx.lame.mu
-    inv_l3m = ctx.lame.inv_l3m
-    rows = []
-    for a in range(nn):
-        # the shared prefix is computed once, with the same bits
-        prefix = mu * (lam + mu) * inv_l3m * ctx.inv_norm * ctx.xi_up[a]
-        row = [prefix * x for x in ctx.xi_down]
-        row[a] = row[a] + mu * ctx.norm
-        rows.append(row + [-2j * mu * mu * inv_l3m * ctx.xi_up[a]])
-    rows.append([2j * mu * mu * inv_l3m * x for x in ctx.xi_down]
-                + [2 * mu * (lam + 2 * mu) * inv_l3m * ctx.norm])
-    return JetMatrix(chart, rows)
-
-
-def _gamma_correction(ctx: SymbolContext) -> JetMatrix:
-    """Connection-trace correction entering the degree-zero boundary level."""
-    n = ctx.chart.dimension
-    row = (ctx.lame.lam * ctx.geo.trace).reshape(1, n)
-    return JetMatrix.block(ctx.chart,
-                           [[JetMatrix.zeros(ctx.chart, n - 1, n)], [row]])
-
-
 def q_levels(ctx: SymbolContext, depth: int) -> SymbolLevels:
     """Factor levels q_1 down to q_{-depth}.
 
@@ -382,7 +347,7 @@ def q_levels(ctx: SymbolContext, depth: int) -> SymbolLevels:
     A - 1 + d, so every depth up to A - 1 is reached.
     """
     levels = {1: q1(ctx)}
-    cache = _DerivativeCache(levels)
+    cache = _DerivativeCache(levels, ctx.b1)
     for m in range(-1, depth):
         levels[-m - 1] = solve_q(build_E(m, levels, ctx, _cache=cache), ctx)
     return SymbolLevels("q", levels)
@@ -391,15 +356,26 @@ def q_levels(ctx: SymbolContext, depth: int) -> SymbolLevels:
 def p_level(ctx: SymbolContext, q: SymbolLevels, degree: int) -> JetMatrix:
     """Boundary symbol level of one degree from the factor levels.
 
-    p_1 is closed-form, p_0 = lead q_0 - (connection-trace correction),
-    and p_{-k} = lead q_{-k}; degree d <= 0 needs q_d.
+    p_d = lead q_d - T_d, with T the symbol of the tangential part of the
+    traction: T_1 = [[0, i mu xi^a], [i lambda xi_b, 0]], T_0 is the
+    connection-trace row lambda Gamma^c_{cb} in the normal component, and
+    T_d = 0 for d < 0.  Degree d needs q_d.
     """
-    if degree == 1:
-        return p1_matrix(ctx)
     out = ctx.lead @ q.level(degree)
-    if degree == 0:
-        out = out - _gamma_correction(ctx)
-    return out
+    if degree < 0:
+        return out
+    chart, lam, mu = ctx.chart, ctx.lame.lam, ctx.lame.mu
+    n = chart.dimension
+    nn = n - 1
+    if degree == 1:
+        traction = JetMatrix.block(chart, [
+            [JetMatrix.zeros(chart, nn, nn), (1j * mu * ctx.xi_up).reshape(nn, 1)],
+            [(1j * lam * ctx.xi_down).reshape(1, nn),
+             JetMatrix.zeros(chart, 1, 1)]])
+    else:
+        traction = JetMatrix.block(chart, [[JetMatrix.zeros(chart, nn, n)],
+                                           [(lam * ctx.geo.trace).reshape(1, n)]])
+    return out - traction
 
 
 def dtn_symbols(ctx: SymbolContext, M: int) -> SymbolLevels:

@@ -3,6 +3,10 @@
 Deliberately shares nothing with the package implementation: plain dicts
 keyed by exponent tuples, naive convolution products, and degree-by-degree
 series division/square root.  Slow and simple on purpose.
+
+The one closed form here, :func:`p1_closed_form`, is written with the
+package's jets, but not through the factorization recursion that the
+package uses to reach the same level.
 """
 
 from __future__ import annotations
@@ -144,3 +148,29 @@ def assert_poly_close(a, b, cap, tol=1e-13):
             continue
         worst = max(worst, abs(a.get(k, 0) - b.get(k, 0)))
     assert worst <= tol, f"polynomial mismatch: max deviation {worst}"
+
+
+def p1_closed_form(ctx):
+    """The principal boundary symbol from its closed form, entry by entry:
+
+        mu (|xi| delta^a_b + (lam + mu) / (lam + 3 mu) xi^a xi_b / |xi|)
+        -2i mu^2 / (lam + 3 mu) xi^a,     2i mu^2 / (lam + 3 mu) xi_b,
+        2 mu (lam + 2 mu) / (lam + 3 mu) |xi|
+
+    (tangential block, last column, last row, corner), from a symbol
+    context's Lame jets, cotangent norm and raised covector.
+    """
+    from elastic_dtn import JetMatrix
+
+    nn = ctx.chart.dimension - 1
+    lam, mu = ctx.lame.lam, ctx.lame.mu
+    inv_l3m = ctx.lame.inv_l3m
+    rows = []
+    for a in range(nn):
+        prefix = mu * (lam + mu) * inv_l3m * ctx.inv_norm * ctx.xi_up[a]
+        row = [prefix * ctx.xi_down[b] for b in range(nn)]
+        row[a] = row[a] + mu * ctx.norm
+        rows.append(row + [-2j * mu * mu * inv_l3m * ctx.xi_up[a]])
+    rows.append([2j * mu * mu * inv_l3m * ctx.xi_down[b] for b in range(nn)]
+                + [2 * mu * (lam + 2 * mu) * inv_l3m * ctx.norm])
+    return JetMatrix(ctx.chart, rows)

@@ -9,14 +9,14 @@ from elastic_dtn.symbols import (
     build_context,
     build_E,
     dtn_symbols,
-    p1_matrix,
+    p_level,
     plane_wave_consistency,
     q1,
     q_levels,
     solve_q,
 )
 
-from oracles import homogeneous_value
+from oracles import homogeneous_value, p1_closed_form
 
 
 def euclidean_context(n=2, K=6, xi0=None, lam=1.0, mu=1.0):
@@ -37,6 +37,11 @@ def hand_scene_context(K=6):
 def random_context(seed, dimension=2, K=6):
     scene = random_scene(seed, dimension=dimension, truncation_order=K)
     return build_context(scene.metric, scene.lame, scene.context), scene
+
+
+def principal_p(ctx):
+    """The boundary level of degree 1, from the principal factor level."""
+    return p_level(ctx, SymbolLevels("q", {1: q1(ctx)}), 1)
 
 
 def assert_entry(matrix, i, j, value, tol=1e-12):
@@ -187,7 +192,36 @@ def test_p1_nn_entry_closed_form_random():
         lam, mu = ctx.lame.lam, ctx.lame.mu
         expected = 2 * mu * (lam + 2 * mu) * reciprocal(lam + 3 * mu) * ctx.norm
         n = scene.dimension
-        assert p1_matrix(ctx)[n - 1, n - 1].allclose(expected, tol=1e-10)
+        assert principal_p(ctx)[n - 1, n - 1].allclose(expected, tol=1e-10)
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_p1_matches_its_closed_form_entry_by_entry(dimension):
+    for seed in range(1, 4):
+        scene = random_scene(seed, dimension=dimension, truncation_order=4,
+                             order=1)
+        ctx = build_context(scene.metric, scene.lame, scene.context)
+        p1, oracle = principal_p(ctx), p1_closed_form(ctx)
+        assert (p1.accuracy, p1.degree) == (oracle.accuracy, oracle.degree)
+        for i in range(dimension):
+            for j in range(dimension):
+                scale = oracle[i, j].max_abs()
+                assert scale > 0
+                assert (p1[i, j] - oracle[i, j]).max_abs() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_b1_is_linear_in_xi(dimension):
+    # build_E folds b1 into the composition sum with its first derivatives
+    # alone; a b1 with a second xi-derivative would be dropped from E_m
+    for seed in range(1, 4):
+        scene = random_scene(seed, dimension=dimension, truncation_order=4)
+        ctx = build_context(scene.metric, scene.lame, scene.context)
+        assert ctx.b1.coeffs.any()
+        for a in range(dimension - 1):
+            first = ctx.b1.dxi(a)
+            for b in range(dimension - 1):
+                assert not first.dxi(b).coeffs.any()
 
 
 def test_p1_self_adjoint_with_metric_weight():
@@ -197,10 +231,10 @@ def test_p1_self_adjoint_with_metric_weight():
         return np.all(np.abs(m.coeffs - np.conj(m.coeffs).transpose(1, 0, 2))
                       <= 1e-10)
 
-    assert hermitian(p1_matrix(ctx))
+    assert hermitian(principal_p(ctx))
     for seed in range(2):
         ctx, scene = random_context(seed, dimension=3)
-        assert hermitian(ctx.geo.g @ p1_matrix(ctx))
+        assert hermitian(ctx.geo.g @ principal_p(ctx))
 
 
 def test_dtn_symbols_requires_margin():
@@ -364,9 +398,9 @@ def test_difference_law_second_order():
 def test_symbol_levels_structure():
     ctx, _, _ = euclidean_context()
     with pytest.raises(ValueError):
-        SymbolLevels("p", {1: p1_matrix(ctx), -1: p1_matrix(ctx)})  # gap
+        SymbolLevels("p", {1: principal_p(ctx), -1: principal_p(ctx)})  # gap
     with pytest.raises(ValueError):
-        SymbolLevels("x", {1: p1_matrix(ctx)})
+        SymbolLevels("x", {1: principal_p(ctx)})
     levels = dtn_symbols(ctx, 1)
     assert levels.depth == 1
     assert levels.min_degree == -1
