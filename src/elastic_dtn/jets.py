@@ -877,11 +877,8 @@ class JetMatrix(_JetArray):
 
     @classmethod
     def _constant(cls, context: JetContext, values: np.ndarray,
-                  accuracy: int | None = None) -> "JetMatrix":
-        """The matrix of constants ``values``, trusted to ``accuracy``
-        (default: K)."""
-        accuracy = _trusted(context, context.truncation_order
-                            if accuracy is None else accuracy)
+                  accuracy: int) -> "JetMatrix":
+        """The matrix of constants ``values``, trusted to ``accuracy``."""
         coeffs = np.zeros(values.shape + (context.sizes[accuracy],),
                           dtype=np.complex128)
         coeffs[..., 0] = values
@@ -889,11 +886,12 @@ class JetMatrix(_JetArray):
 
     @classmethod
     def zeros(cls, context: JetContext, rows: int, cols: int) -> "JetMatrix":
-        return cls._constant(context, np.zeros((rows, cols)))
+        return cls._constant(context, np.zeros((rows, cols)),
+                             context.truncation_order)
 
     @classmethod
     def identity(cls, context: JetContext, size: int) -> "JetMatrix":
-        return cls._constant(context, np.eye(size))
+        return cls._constant(context, np.eye(size), context.truncation_order)
 
     @classmethod
     def diagonal(cls, context: JetContext, diag) -> "JetMatrix":
