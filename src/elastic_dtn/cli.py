@@ -90,6 +90,8 @@ def _load_scene_from_args(args) -> SceneConfig:
     if args.config is not None:
         return load_scene(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise SceneError(f"--seed must be >= 0, got {args.seed}")
         try:
             return random_scene(args.seed, dimension=args.dimension,
                                 truncation_order=args.truncation)

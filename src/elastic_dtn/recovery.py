@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    LameJet,
-    MetricJet,
-    assemble_full_metric,
-    leading_coefficient_inverse,
-)
+from .geometry import LameJet, MetricJet, leading_coefficient_inverse
 from .jets import (
     AccuracyExhausted,
     Jet,
@@ -242,32 +237,23 @@ def _reference_metric(chart: JetContext, partial: RecoveredBoundaryData,
                                        {tuple(exps): 1.0 / math.factorial(j)})
         deriv = partial.normal_derivs[j - 1]
         ginv = ginv + deriv.with_accuracy(accuracy) * weight
-    return _metric_from_inverse(ginv)[1]
-
-
-def _metric_from_inverse(ginv: JetMatrix):
-    """The inverse of a tangential block, raw and as a real metric."""
-    g = mat_inverse(ginv)
-    return g, MetricJet(g.context, g.real_part())
+    return MetricJet(spatial, mat_inverse(ginv).real_part())
 
 
 @dataclass(frozen=True)
 class BoundaryFactorization(Factorization):
-    """Boundary factorization plus the order-0 tangential metric g_ab.
-
-    ``g`` is the raw inverse of the recovered order-0 block; the
-    ``MetricJet`` built from it symmetrizes its off-diagonal entries.
-    """
+    """Boundary factorization plus the order-0 tangential metric g_ab,
+    the raw inverse of the recovered order-0 block."""
 
     g: JetMatrix
 
     @functools.cached_property
-    def peeling_scales(self) -> tuple:
+    def peeling_scale(self) -> Jet:
         """The factor that turns the residual entry into the quadratic form:
-        (lambda+3mu)^2/mu^2 at order 1, times lambda+2mu from order 2 on."""
+        (lambda+3mu)^2 (lambda+2mu)/mu^2."""
         lam, mu = self.lame.lam, self.lame.mu
-        first = (lam + 3 * mu) * (lam + 3 * mu) * reciprocal(mu * mu)
-        return first, first * (lam + 2 * mu)
+        return (lam + 3 * mu) * (lam + 3 * mu) * reciprocal(mu * mu) \
+            * (lam + 2 * mu)
 
     @functools.cached_property
     def trace_denominator(self) -> Jet:
@@ -285,13 +271,14 @@ def boundary_factorization(obs: ObservedSymbols,
                            g_inv: JetMatrix) -> BoundaryFactorization:
     """Factorization data on the boundary, from the order-0 inverse metric.
 
-    Every peeling order reads the same data, so it is built once.
+    Every peeling order reads the same data, so it is built once.  The
+    full metric is block-diagonal with a unit normal entry, so the
+    tangential block of its inverse, which the factorization reads, is
+    ``g_inv`` itself.
     """
-    g, metric = _metric_from_inverse(g_inv)
     lame_b = LameJet(obs.lame.lam.at_boundary(), obs.lame.mu.at_boundary())
-    fac = factorization(mat_inverse(assemble_full_metric(metric)), lame_b,
-                        obs.chart)
-    return BoundaryFactorization(**vars(fac), g=g)
+    fac = factorization(g_inv, lame_b, obs.chart)
+    return BoundaryFactorization(**vars(fac), g=mat_inverse(g_inv))
 
 
 def _peeling_trust(partial: RecoveredBoundaryData, m: int) -> int:
@@ -350,23 +337,18 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
     level_obs = obs.p.level(1 - m).at_boundary()
     delta = level_obs - _reference_level(obs, partial, m, trust)
 
-    lam, mu = boundary.lame.lam, boundary.lame.mu
-    if m == 1:
-        residual_entry = delta[nn, nn]
-    else:
-        # One application maps the level difference back to its right-hand
-        # side; each further application converts the matrix into the
-        # normal derivative of the right-hand side one level up, modulo
-        # terms that the reference subtraction has already cancelled.
-        # After m - 1 applications the (n,n) entry carries the order-m
-        # quadratic form.
-        delta_rhs = leading_coefficient_inverse(boundary.lame, chart) @ delta
-        for _ in range(m - 1):
-            delta_rhs = lin_inverse(delta_rhs, boundary)
-        residual_entry = delta_rhs[nn, nn]
+    # With A the leading coefficient, one application of lin_inverse maps
+    # A^-1 delta back to its right-hand side; each further application
+    # converts the matrix into the normal derivative of the right-hand side
+    # one level up, modulo terms that the reference subtraction has already
+    # cancelled.  After m - 1 applications (none at m = 1) the (n,n) entry
+    # carries the order-m quadratic form.
+    residual = leading_coefficient_inverse(boundary.lame, chart) @ delta
+    for _ in range(m - 1):
+        residual = lin_inverse(residual, boundary)
+    residual_entry = residual[nn, nn]
 
-    scale = boundary.peeling_scales[m >= 2]
-    form = -residual_entry * scale * boundary.norm_sq
+    form = -residual_entry * boundary.peeling_scale * boundary.norm_sq
     form = form.x_degree_cap(trust).with_accuracy(min(form.accuracy, trust + 2))
 
     block, diag = extract_quadratic(form, tol=quadraticity_tol)
@@ -382,6 +364,7 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
             f"trace denominator must be positive, got {denom_const:g}")
     h = trace * boundary.inv_trace_denominator
 
+    lam, mu = boundary.lame.lam, boundary.lame.mu
     inv_l2m = boundary.lame.inv_l2m
     out = [[((2 * lam + 5 * mu) * h * partial.g_inv[a, b] - block[a, b])
             * inv_l2m for b in range(nn)] for a in range(nn)]

@@ -62,15 +62,24 @@ class SceneError(Exception):
 
 @dataclass
 class SceneConfig:
-    dimension: int
-    truncation_order: int
-    base_covector: tuple
     metric: MetricJet
     lame: LameJet
     context: JetContext
     order: int = 3
     seed: int | None = None
     tolerances: dict = field(default_factory=dict)
+
+    @property
+    def dimension(self) -> int:
+        return self.context.dimension
+
+    @property
+    def truncation_order(self) -> int:
+        return self.context.truncation_order
+
+    @property
+    def base_covector(self) -> tuple:
+        return self.context.base_covector
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -337,9 +346,6 @@ def scene_from_json(data: dict) -> SceneConfig:
     if unknown:
         raise SceneError(f"scene: unknown tolerance keys {sorted(unknown)}")
     return SceneConfig(
-        dimension=context.dimension,
-        truncation_order=context.truncation_order,
-        base_covector=context.base_covector,
         metric=metric,
         lame=lame,
         context=context,
@@ -407,9 +413,6 @@ def random_scene(seed: int, dimension: int = 2, truncation_order: int = 6,
         + rng.uniform(0.6, 1.5)
     lame = LameJet(lam, mu)
     return SceneConfig(
-        dimension=n,
-        truncation_order=truncation_order,
-        base_covector=context.base_covector,
         metric=metric,
         lame=lame,
         context=context,

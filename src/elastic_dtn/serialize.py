@@ -92,25 +92,22 @@ def _level_from_json(chart: JetContext, data, where: str, accuracy: int,
     if (not isinstance(data, list) or len(data) != n
             or any(not isinstance(row, list) or len(row) != n for row in data)):
         raise SceneError(f"{where}: expected a {n}x{n} array of jet maps")
-    if schema == SYMBOLS_SCHEMA:
-        coeffs = JetMatrix(chart, [[
-            jet_from_map(chart, data[i][j], where=f"{where}[{i}][{j}]",
-                         accuracy=accuracy)
-            for j in range(n)] for i in range(n)]).coeffs
-    else:
-        layout = (2 * n - 1, chart.truncation_order, 0)
-        legacy = np.zeros((n, n, _basis(*layout[:2])[4][accuracy]),
-                          dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                positions, values = map_entries(layout, data[i][j],
-                                                f"{where}[{i}][{j}]")
-                keep = positions < legacy.shape[-1]
-                legacy[i, j, positions[keep]] = values[keep]
+    nvars = chart.nvars if schema == SYMBOLS_SCHEMA else 2 * n - 1
+    layout = (nvars, chart.truncation_order, 0)
+    coeffs = np.zeros((n, n, _basis(*layout[:2])[4][accuracy]),
+                      dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            positions, values = map_entries(layout, data[i][j],
+                                            f"{where}[{i}][{j}]")
+            keep = positions < coeffs.shape[-1]
+            coeffs[i, j, positions[keep]] = values[keep]
+    if schema != SYMBOLS_SCHEMA:
         src, dst, factor = _substitution(chart, accuracy)
-        coeffs = np.zeros((n, n, chart.sizes[accuracy]), dtype=np.complex128)
-        np.add.at(coeffs, (slice(None), slice(None), dst),
-                  legacy[..., src] * factor)
+        hyperplane = np.zeros((n, n, chart.sizes[accuracy]), dtype=np.complex128)
+        np.add.at(hyperplane, (slice(None), slice(None), dst),
+                  coeffs[..., src] * factor)
+        coeffs = hyperplane
     return JetMatrix._wrap(chart, coeffs, accuracy, degree).at_boundary()
 
 

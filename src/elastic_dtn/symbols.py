@@ -154,12 +154,13 @@ class SymbolLevels:
 
 def factorization(ginv: JetMatrix, lame: LameJet,
                   chart: JetContext) -> Factorization:
-    """Factorization data from the inverse metric (its tangential block)."""
+    """Factorization data from the tangential block g^{ab} of the inverse
+    metric."""
     nn = chart.dimension - 1
     lam, mu = lame.lam, lame.mu
 
     down = stack([Jet.xi_component(chart, a) for a in range(nn)])
-    up = (ginv[:nn, :nn] @ down.reshape(nn, 1)).reshape(nn)
+    up = (ginv @ down.reshape(nn, 1)).reshape(nn)
     norm_sq = (up.reshape(1, nn) @ down.reshape(nn, 1))[0, 0]
     norm = sqrt(norm_sq)
     inv_norm = reciprocal(norm)
@@ -187,7 +188,7 @@ def build_context(metric: MetricJet, lame: LameJet,
     inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
     grad_lam = geo.raised_gradient(lam)
     grad_mu = geo.raised_gradient(mu)
-    fac = factorization(geo.ginv, lame, chart)
+    fac = factorization(geo.ginv[:nn, :nn], lame, chart)
     up, down = fac.xi_up, fac.xi_down
 
     # shared left-to-right prefixes, computed once (see factorization)

@@ -4,9 +4,12 @@ Deliberately shares nothing with the package implementation: plain dicts
 keyed by exponent tuples, naive convolution products, and degree-by-degree
 series division/square root.  Slow and simple on purpose.
 
-The one closed form here, :func:`p1_closed_form`, is written with the
-package's jets, but not through the factorization recursion that the
-package uses to reach the same level.
+Three oracles here are written with the package's jets.
+:func:`p1_closed_form` does not go through the factorization recursion
+that the package uses to reach the same level.  :func:`order1_form` and
+:func:`xi_up_by_double_inversion` are the routes that peeling took before
+every order was read by one rule and the boundary factorization was built
+from the recovered block g^{ab} itself.
 """
 
 from __future__ import annotations
@@ -174,3 +177,36 @@ def p1_closed_form(ctx):
     rows.append([2j * mu * mu * inv_l3m * ctx.xi_down[b] for b in range(nn)]
                 + [2 * mu * (lam + 2 * mu) * inv_l3m * ctx.norm])
     return JetMatrix(ctx.chart, rows)
+
+
+def order1_form(delta_corner, lame, norm_sq):
+    """The order-1 quadratic form from the (n,n) entry of the level
+    difference of degree 0 alone:
+
+        -delta[n,n] (lam + 3 mu)^2 / mu^2 |xi|^2
+    """
+    from elastic_dtn import reciprocal
+
+    lam, mu = lame.lam, lame.mu
+    return -delta_corner * (lam + 3 * mu) * (lam + 3 * mu) \
+        * reciprocal(mu * mu) * norm_sq
+
+
+def xi_up_by_double_inversion(g_inv, chart):
+    """The raised covector g^{ab} xi_b on ``chart``, one entry at a time,
+    with g^{ab} read off the inverse of the full metric: g_inv inverted to
+    g_ab, padded with a unit normal entry and inverted again."""
+    from elastic_dtn import Jet, mat_inverse
+    from elastic_dtn.geometry import MetricJet, assemble_full_metric
+
+    nn = chart.dimension - 1
+    g = mat_inverse(g_inv)
+    full_inverse = mat_inverse(assemble_full_metric(MetricJet(g.context,
+                                                              g.real_part())))
+    up = []
+    for a in range(nn):
+        entry = Jet.zero(chart)
+        for b in range(nn):
+            entry = entry + full_inverse[a, b] * Jet.xi_component(chart, b)
+        up.append(entry)
+    return up

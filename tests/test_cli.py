@@ -207,6 +207,14 @@ def test_negative_order_is_an_input_error(tmp_path, capsys, command):
     assert "--order must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["roundtrip", "verify"])
+def test_negative_seed_is_an_input_error(capsys, command):
+    assert main([command, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed must be >= 0, got -1" in err
+    assert "chart flags" not in err
+
+
 def test_oversized_chart_rejected_before_any_table(tmp_path, capsys):
     cfg = write_scene(tmp_path / "scene.json")
     sym = tmp_path / "symbols.json"

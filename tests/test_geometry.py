@@ -244,7 +244,7 @@ def test_operator_identity_euclidean_with_variable_coefficients():
     x1, xn = Jet.variable(ctx, 0), Jet.variable(ctx, 1)
     lame = LameJet(1.0 + 0.2 * x1 - 0.1 * xn + Jet.zero(ctx),
                    1.0 + 0.1 * x1 * xn + Jet.zero(ctx))
-    cfg = SceneConfig(2, 5, ctx.base_covector, m, lame, ctx)
+    cfg = SceneConfig(m, lame, ctx)
     rng = np.random.default_rng(8)
     assert _identity_residual(cfg, rng) < 1e-11
 

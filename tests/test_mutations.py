@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from elastic_dtn import scenes, serialize
 from elastic_dtn.cli import main
-from elastic_dtn.jets import ZERO_COEFF_TOL, Jet, JetContext
+from elastic_dtn.jets import ZERO_COEFF_TOL, Jet, JetContext, _basis
 from elastic_dtn.recovery import ObservedSymbols, recover_full
 from elastic_dtn.scenes import (
     SceneConfig,
@@ -133,17 +133,18 @@ def oracle_to_map(jet: Jet) -> dict:
     return out
 
 
-def oracle_from_map(context: JetContext, data: dict, where: str = "jet",
-                    accuracy: int | None = None) -> Jet:
-    """The jet of a coefficient map, each key split and parsed on its own.
+def _oracle_coefficients(nvars: int, pad: int, K: int, data: dict,
+                         where: str) -> dict:
+    """The coefficient of each exponent tuple of a map whose keys have
+    ``nvars`` exponents and then ``pad`` padding exponents, each key split
+    and parsed on its own.
 
-    The cotangent exponents of a jet of x alone may only carry
-    coefficients of at most ZERO_COEFF_TOL, which are dropped.
+    The padding exponents, the cotangent exponents of a jet of x alone, may
+    only carry coefficients of at most ZERO_COEFF_TOL, which are dropped.
     """
     if not isinstance(data, dict):
         raise SceneError(f"{where}: expected a coefficient map, got {type(data).__name__}")
-    nvars = context.nvars
-    width = nvars + _padding(context)
+    width = nvars + pad
     coeffs = {}
     for key, value in data.items():
         parts = key.split(" ")
@@ -153,10 +154,9 @@ def oracle_from_map(context: JetContext, data: dict, where: str = "jet",
             raise SceneError(
                 f"{where}: bad exponent key {key!r} (need {width} "
                 f"non-negative integers, single-spaced, no leading zeros)")
-        if sum(exps) > context.truncation_order:
+        if sum(exps) > K:
             raise SceneError(
-                f"{where}: exponent key {key!r} exceeds truncation order "
-                f"{context.truncation_order}")
+                f"{where}: exponent key {key!r} exceeds truncation order {K}")
         value = complex_from_json(value, f"{where}[{key!r}]")
         if any(exps[nvars:]):
             if abs(value) > ZERO_COEFF_TOL:
@@ -164,13 +164,32 @@ def oracle_from_map(context: JetContext, data: dict, where: str = "jet",
                                  f"cotangent variable of a jet of x alone")
             continue
         coeffs[exps[:nvars]] = value
+    return coeffs
+
+
+def oracle_from_map(context: JetContext, data: dict, where: str = "jet",
+                    accuracy: int | None = None) -> Jet:
+    """The jet of a coefficient map on ``context``."""
+    coeffs = _oracle_coefficients(context.nvars, _padding(context),
+                                  context.truncation_order, data, where)
     return Jet.from_coefficients(context, coeffs, accuracy)
+
+
+def oracle_map_entries(layout: tuple, data: dict, where: str):
+    """(basis positions, values) of a coefficient map over ``layout``, the
+    (nvars, K, pad) of its keys, as symbols-document levels are read."""
+    nvars, K, pad = layout
+    coeffs = _oracle_coefficients(nvars, pad, K, data, where)
+    index = _basis(nvars, K)[1]
+    return (np.array([index[exps] for exps in coeffs], dtype=np.int64),
+            np.array(list(coeffs.values()), dtype=np.complex128))
 
 
 @contextlib.contextmanager
 def _oracle_codec():
     with mock.patch.object(scenes, "jet_from_map", oracle_from_map), \
-            mock.patch.object(serialize, "jet_from_map", oracle_from_map):
+            mock.patch.object(serialize, "jet_from_map", oracle_from_map), \
+            mock.patch.object(serialize, "map_entries", oracle_map_entries):
         yield
 
 

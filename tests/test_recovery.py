@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elastic_dtn import Jet, JetContext, JetMatrix, reciprocal
-from elastic_dtn.geometry import LameJet, MetricJet
+from elastic_dtn.geometry import LameJet, MetricJet, leading_coefficient_inverse
 from elastic_dtn.recovery import (
     ConsistencyError,
     ObservedSymbols,
@@ -11,6 +11,7 @@ from elastic_dtn.recovery import (
     _realify,
     _reference_level,
     _reference_metric,
+    boundary_factorization,
     extract_quadratic,
     extract_quadratic_sampled,
     lin_inverse,
@@ -37,6 +38,7 @@ from elastic_dtn.symbols import (
     solve_q,
 )
 
+from oracles import order1_form, xi_up_by_double_inversion
 from roundtrip_utils import forward_observed, rel_err, true_inverse_derivatives
 
 
@@ -167,13 +169,39 @@ def test_hand_scene_first_order():
     assert abs(k - (-4.0)) < 1e-7
 
 
+@pytest.mark.parametrize("n, K", [(2, 6), (3, 6), (4, 5)])
+def test_order1_and_the_boundary_factorization_match_their_former_routes(n, K):
+    """Order 1 is read by the rule of every order, the (n,n) entry of
+    A^-1 delta times (lambda+3mu)^2 (lambda+2mu)/mu^2, where it was once
+    delta[n,n] times (lambda+3mu)^2/mu^2; and the boundary factorization
+    raises the covector with the recovered block g^{ab}, where it once
+    inverted the full metric built from its inverse."""
+    scene = random_scene(120 + n, dimension=n, truncation_order=K, order=1)
+    observed, _ = forward_observed(scene, 1)
+    g_inv, _ = recover_order0(observed)
+    boundary = boundary_factorization(observed, g_inv)
+    partial = RecoveredBoundaryData(scene.context, g_inv)
+    reference = _reference_level(observed, partial, 1,
+                                 _peeling_trust(partial, 1))
+    delta = observed.p.level(0).at_boundary() - reference
+    nn = n - 1
+    ainv = leading_coefficient_inverse(boundary.lame, scene.context)
+    one_rule = -(ainv @ delta)[nn, nn] * boundary.peeling_scale \
+        * boundary.norm_sq
+    former = order1_form(delta[nn, nn], boundary.lame, boundary.norm_sq)
+    assert one_rule.accuracy == former.accuracy
+    assert (one_rule - former).max_abs() <= 1e-13 * former.max_abs()
+    for a, up in enumerate(xi_up_by_double_inversion(g_inv, scene.context)):
+        assert boundary.xi_up[a].accuracy == up.accuracy, a
+        assert (boundary.xi_up[a] - up).max_abs() <= 1e-13 * up.max_abs(), a
+
+
 def test_trace_denominator_dimension3():
     scene = random_scene(77, dimension=3, truncation_order=6)
     lame = LameJet.constant(scene.context, 1.0, 1.0)
     from elastic_dtn.scenes import SceneConfig
 
-    cfg = SceneConfig(3, 6, scene.base_covector, scene.metric, lame,
-                      scene.context)
+    cfg = SceneConfig(scene.metric, lame, scene.context)
     obs, _ = forward_observed(cfg, 1)
     data = recover_full(obs, 1)
     assert data.diagnostics["peeling"][1]["trace_denominator"] == pytest.approx(11.0)
@@ -216,7 +244,7 @@ def test_roundtrip_degenerate_coefficient_boundary():
     lame = LameJet.constant(chart, -1.0, 1.0)
     from elastic_dtn.scenes import SceneConfig
 
-    cfg = SceneConfig(2, 7, chart.base_covector, metric, lame, chart)
+    cfg = SceneConfig(metric, lame, chart)
     obs, _ = forward_observed(cfg, 2)
     data = recover_full(obs, 2)
     truth = true_inverse_derivatives(cfg, 2)
@@ -251,7 +279,7 @@ def test_peeling_locality():
     obs_a, _ = forward_observed(base, 3)
     from elastic_dtn.scenes import SceneConfig
 
-    cfg_b = SceneConfig(2, 7, base.base_covector, bumped, base.lame, chart)
+    cfg_b = SceneConfig(bumped, base.lame, chart)
     obs_b, _ = forward_observed(cfg_b, 3)
     data_a = recover_full(obs_a, 3)
     data_b = recover_full(obs_b, 3)
