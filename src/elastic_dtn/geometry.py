@@ -133,12 +133,17 @@ class LameJet:
         return reciprocal(self.lam + 3 * self.mu)
 
 
-def assemble_full_metric(metric: MetricJet) -> JetMatrix:
-    """Embed the tangential block: unit normal entry, no mixed entries."""
-    block = metric.tangential_matrix()
+def _with_unit_normal(block: JetMatrix) -> JetMatrix:
+    """A tangential block padded with a unit normal entry and no mixed
+    entries."""
     full = np.pad(block.coeffs, ((0, 1), (0, 1), (0, 0)))
     full[-1, -1, 0] = 1.0
-    return JetMatrix._wrap(metric.context, full, block.accuracy, 0)
+    return JetMatrix._wrap(block.context, full, block.accuracy, 0)
+
+
+def assemble_full_metric(metric: MetricJet) -> JetMatrix:
+    """Embed the tangential block: unit normal entry, no mixed entries."""
+    return _with_unit_normal(metric.tangential_matrix())
 
 
 def christoffel(g: JetMatrix, ginv: JetMatrix) -> _JetArray:
@@ -190,8 +195,14 @@ class _Geometry:
 
 
 def prepare(metric: MetricJet) -> _Geometry:
+    """The full metric, its inverse and its connection.
+
+    The full metric is block-diagonal with a unit normal entry, so its
+    inverse is the inverse of the tangential block, padded the same way;
+    only that block goes through Newton's iteration.
+    """
     g = assemble_full_metric(metric)
-    ginv = mat_inverse(g)
+    ginv = _with_unit_normal(mat_inverse(metric.tangential_matrix()))
     return _Geometry(g, ginv, christoffel(g, ginv))
 
 

@@ -39,7 +39,9 @@ is a ``JetMatrix``, vector fields included (as columns); the connection
 is one array of shape (n, n, n).  All of them share the arithmetic over
 the last axis, and one product kernel serves every jet product, entrywise
 product, scaling and matrix product; the operands of each product keep
-their order, with the leading axes broadcast as in numpy.
+their order, with the leading axes broadcast as in numpy.  A matrix product
+of stacked matrices, (..., r, k) @ (..., k, c), is one kernel call, so a
+batch of independent products costs one call.
 
 Every chart (the *full* chart, over the x-variables and the hyperplane
 offsets) has a *spatial* chart (``JetContext.spatial``): the same n, K and
@@ -166,13 +168,18 @@ def _diff_table(nvars: int, K: int, var: int):
 # Product plans, one per chart shape, result accuracy A and leading operand
 # shapes: the number of targets of degree <= A, and their pairs cut into
 # chunks of whole target blocks, with views of the gather buffer.  The buffer
-# holds two pair tables of its chart shape, or one target's gathers and
-# products if they need more (small charts, large operand shapes); a chunk's
-# gathers and products fill at most that.  Pair temporaries allocated in
-# every product would be returned to the system and faulted back in each
+# holds at least GATHER_FLOOR values, and grows to two pair tables of its
+# chart shape, or to one target's gathers and products, if those need more
+# (small charts, large operand shapes); a chunk's gathers and products fill
+# at most that.  The floor lets a batch of products on a small chart run in
+# a few chunks, not one per handful of targets.  Pair temporaries allocated
+# in every product would be returned to the system and faulted back in each
 # time, so product time would follow the host's memory state.  The buffers
 # belong to the thread and the shape, not to a context, so pooled contexts
 # add nothing.
+GATHER_FLOOR = 1 << 15  # complex values: 512 KiB per thread and chart shape
+
+
 class _ProductPlans(threading.local):
     def __init__(self):
         self.buffers = {}
@@ -201,7 +208,7 @@ def _product_plan(context: "JetContext", accuracy: int, lead_a, lead_b):
         buffer = local.buffers.get(context._shape)
         if buffer is None or len(buffer) < need:
             buffer = local.buffers[context._shape] = np.empty(
-                max(2 * len(left), need), dtype=np.complex128)
+                max(2 * len(left), need, GATHER_FLOOR), dtype=np.complex128)
         chunks, t0 = [], 0
         while t0 < n:
             limit = edges[t0] + len(buffer) // bounds[-1]
@@ -217,28 +224,52 @@ def _product_plan(context: "JetContext", accuracy: int, lead_a, lead_b):
 
 
 def _product(context: "JetContext", a: np.ndarray, b: np.ndarray,
-             accuracy: int) -> np.ndarray:
+             accuracy: int, summed: int | None = None) -> np.ndarray:
     """Truncated products of coefficient arrays, entry by entry.
 
     ``a`` and ``b`` hold jets along their last axis; their leading axes
     broadcast.  Every jet product of the package runs here.  Each target's
     pairs are reduced together and in table order, whatever the chunks.
+    With ``summed``, a leading axis counted from the end (-1 is the last),
+    the products are added along it in order, one chunk of targets at a
+    time, so they are never all held at once.
     """
     n, shape, chunks = _product_plan(context, accuracy, a.shape[:-1],
                                      b.shape[:-1])
     # products are mostly small, so the fixed cost of each numpy call
     # counts: the array methods skip the np.take wrapper
     if not np.count_nonzero(a[..., 1:n]):
-        return a[..., :1] * b[..., :n]
-    if not np.count_nonzero(b[..., 1:n]):
-        return a[..., :n] * b[..., :1]
+        out = a[..., :1] * b[..., :n]
+    elif not np.count_nonzero(b[..., 1:n]):
+        out = a[..., :n] * b[..., :1]
+    else:
+        out = None
+    if out is not None:
+        return out if summed is None else _sum_in_order(out, summed - 1)
+    if summed is not None:
+        shape = shape[:summed - 1] + shape[summed:]
     out = np.empty(shape, dtype=np.complex128)
     for targets, left, right, starts, wa, wb, pairs in chunks:
         # indices are in range; "wrap" skips the buffered bounds check
         a.take(left, axis=-1, out=wa, mode="wrap")
         b.take(right, axis=-1, out=wb, mode="wrap")
         np.multiply(wa, wb, out=pairs)
-        np.add.reduceat(pairs, starts, axis=-1, out=out[..., targets])
+        if summed is None:
+            np.add.reduceat(pairs, starts, axis=-1, out=out[..., targets])
+        else:
+            out[..., targets] = _sum_in_order(
+                np.add.reduceat(pairs, starts, axis=-1), summed - 1)
+    return out
+
+
+def _sum_in_order(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The sum over ``axis``, one term after the other from the left;
+    ``np.add.reduce`` adds pairwise when that axis is the only one left to
+    loop over."""
+    lead = (slice(None),) * (axis % terms.ndim)
+    out = terms[lead + (0,)].copy()
+    for k in range(1, terms.shape[axis]):
+        out += terms[lead + (k,)]
     return out
 
 
@@ -495,8 +526,23 @@ class _JetArray:
     def sum(self):
         """The sum over the first leading axis, term by term in order."""
         return _array_class(self.coeffs.ndim - 2)._wrap(
-            self.context, np.add.reduce(self.coeffs), self.accuracy,
+            self.context, _sum_in_order(self.coeffs), self.accuracy,
             self.degree)
+
+    def subtract_each(self, terms):
+        """``self - terms[0] - terms[1] - ...``, one difference after the
+        other, trusted to the lowest accuracy; ``terms`` holds jets of this
+        shape along its first leading axis.
+
+        One reduction does it: subtraction reduces strictly left to right,
+        where ``np.add.reduce`` may add pairwise.
+        """
+        chart, a, b = _operands(self, terms)
+        degree = _common_degree([self, terms])
+        size = min(a.shape[-1], b.shape[-1])
+        seeded = np.concatenate((a[None, ..., :size], b[..., :size]))
+        return self._wrap(chart, np.subtract.reduce(seeded),
+                          min(self.accuracy, terms.accuracy), degree)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -563,9 +609,14 @@ class _JetArray:
         return self._like(-self.coeffs)
 
     def __mul__(self, other):
-        """Scale by a number, or multiply entry by entry by jets, the
-        leading axes broadcast as in numpy; every product keeps its
-        operands in order, so ``c * M`` is ``c * M[i, j]`` entry by entry."""
+        """Scale by a number, or by an array of numbers, or multiply entry
+        by entry by jets, the leading axes broadcast as in numpy; every
+        product keeps its operands in order, so ``c * M`` is ``c * M[i, j]``
+        entry by entry."""
+        if isinstance(other, np.ndarray):
+            out = self.coeffs * other.astype(np.complex128)[..., None]
+            return _array_class(out.ndim - 1)._wrap(self.context, out,
+                                                    self.accuracy, self.degree)
         if not isinstance(other, _JetArray):
             return self._like(self.coeffs * complex(other))
         chart, a, b = _operands(self, other)
@@ -575,6 +626,23 @@ class _JetArray:
                                                 self.degree + other.degree)
 
     __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        """Matrix products over the last two leading axes, the axes before
+        them broadcast as numpy's matmul does: (..., r, k) @ (..., k, c).
+
+        One kernel call runs every product of the lead (..., r, k, c) and
+        adds the k terms in order, so each entry has the bits of its sum
+        written out term by term.
+        """
+        ctx, a, b = _operands(self, other)
+        if a.ndim < 3 or b.ndim < 3 or a.shape[-2] != b.shape[-3]:
+            raise ValueError("matrix shapes do not align")
+        acc = min(self.accuracy, other.accuracy)
+        out = _product(ctx, a[..., None, :], b[..., None, :, :, :], acc,
+                       summed=-2)
+        return _array_class(out.ndim - 1)._wrap(ctx, out, acc,
+                                                self.degree + other.degree)
 
     def real_part(self):
         return self._like(self.coeffs.real.astype(np.complex128))
@@ -936,18 +1004,6 @@ class JetMatrix(_JetArray):
         return tuple(Jet._wrap(self.context, c, self.accuracy, self.degree)
                      for c in self.coeffs[key])
 
-    def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix shapes do not align")
-        ctx, a, b = _operands(self, other)
-        acc = min(self.accuracy, other.accuracy)
-        # the k terms are added in order, so every entry has the bits of
-        # the sum written out entry by entry
-        out = _product(ctx, a[:, :1], b[:1], acc)
-        for k in range(1, self.cols):
-            out += _product(ctx, a[:, k:k + 1], b[k:k + 1], acc)
-        return self._wrap(ctx, out, acc, self.degree + other.degree)
-
     def symmetrized(self) -> "JetMatrix":
         """Each off-diagonal pair replaced by its mean; the diagonal kept as is."""
         out = self.coeffs.copy()
@@ -961,14 +1017,20 @@ class JetMatrix(_JetArray):
 
 
 def stack(arrays, axis: int = 0) -> _JetArray:
-    """Jet arrays of one shape and degree joined along a new leading axis
-    ``axis`` on the chart of the first, trusted to the lowest of their
-    accuracies."""
+    """Jet arrays of one shape joined along a new leading axis ``axis`` on
+    the chart of the first, trusted to the lowest of their accuracies, with
+    the degree of the first.
+
+    The arrays share one degree, except in the two stacks of a batch of
+    products, whose pairs may differ in degree while every product has the
+    degree of the first pair.
+    """
     chart = arrays[0].context
     accuracy = min(x.accuracy for x in arrays)
     size = chart.sizes[accuracy]
-    coeffs = np.stack([_coeffs_on(chart, x)[..., :size] for x in arrays],
-                      axis=axis)
+    parts = [_coeffs_on(chart, x)[..., :size] for x in arrays]
+    # np.array copies a list of equal arrays faster than np.stack
+    coeffs = np.array(parts) if axis == 0 else np.stack(parts, axis=axis)
     return _array_class(coeffs.ndim - 1)._wrap(chart, coeffs, accuracy,
                                                arrays[0].degree)
 

@@ -29,6 +29,7 @@ from .jets import (
     JetMatrix,
     mat_inverse,
     reciprocal,
+    stack,
 )
 from .scenes import DEFAULT_TOLERANCES, SceneError
 from .symbols import (
@@ -217,7 +218,8 @@ def lin_inverse(X: JetMatrix, ctx: Factorization) -> JetMatrix:
     X -> 2 r X + s2 (F2 X + X F1), which by the nilpotency of F1 and F2
     inverts the closed-form solution in both orders of composition.
     """
-    return X * (2 * ctx.norm) + (ctx.f2 @ X + X @ ctx.f1) * ctx.s2
+    f2x_xf1 = stack([ctx.f2, X]) @ stack([X, ctx.f1])
+    return X * (2 * ctx.norm) + (f2x_xf1[0] + f2x_xf1[1]) * ctx.s2
 
 
 def _reference_metric(chart: JetContext, partial: RecoveredBoundaryData,

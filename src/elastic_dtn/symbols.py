@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from .geometry import (
     LameJet,
     MetricJet,
@@ -109,13 +111,15 @@ class SymbolContext(Factorization):
         return zeroth_order_matrix(self.geo, self.lame)
 
     @functools.cached_property
-    def solve_factors(self) -> tuple:
-        """The scalar factors of :func:`solve_q`: 1/(2r), s2/(4r^2) and
-        s2^2/(4r^3), with r the cotangent norm."""
+    def solve_factors(self) -> _JetArray:
+        """The scalar factors of :func:`solve_q`, 1/(2r), s2/(4r^2) and
+        s2^2/(4r^3) with r the cotangent norm, stacked to scale three
+        matrices at once."""
         inv_norm, s2 = self.inv_norm, self.s2
-        return (0.5 * inv_norm,
-                0.25 * s2 * inv_norm * inv_norm,
-                0.25 * s2 * s2 * inv_norm * inv_norm * inv_norm)
+        return stack([0.5 * inv_norm,
+                      0.25 * s2 * inv_norm * inv_norm,
+                      0.25 * s2 * s2 * inv_norm * inv_norm * inv_norm]
+                     ).reshape(3, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -295,6 +299,12 @@ def build_E(m: int, q: "SymbolLevels | dict", ctx: SymbolContext,
 
     Requires the levels q_1 .. q_{-m} (with enough accuracy for every
     tangential derivative pairing of combined order m + j + k).
+
+    Every term is taken at the accuracy that the sum keeps, so all of them
+    are one batch of products; they are subtracted from the first line in
+    their written order.  The targets of degree <= A are a prefix of the
+    product table, with their pairs in table order, so a term cut to A
+    keeps the bits it had at its own accuracy.
     """
     if m < -1:
         raise ValueError("m must be >= -1")
@@ -305,11 +315,12 @@ def build_E(m: int, q: "SymbolLevels | dict", ctx: SymbolContext,
                            f"the degree-{-m - 1} right-hand side")
     cache = _cache if _cache is not None else _DerivativeCache(levels, ctx.b1)
     nn = ctx.chart.dimension - 1
+    lefts, rights, coeffs = [], [], []
     try:
         qm = levels[-m]
-        out = ctx.b0 @ qm + qm.dn()
+        seed = ctx.b0 @ qm + qm.dn()
         if m < 1:
-            out = out - (ctx.c1 if m == -1 else ctx.c0)
+            seed = seed - (ctx.c1 if m == -1 else ctx.c0)
         for j in range(-m, 2):
             for k in range(-m, 2):
                 order = j + k + m
@@ -317,14 +328,18 @@ def build_E(m: int, q: "SymbolLevels | dict", ctx: SymbolContext,
                     continue
                 phase = (-1j) ** order
                 for J in _multi_indices(nn, order):
-                    coeff = phase / math.prod(map(math.factorial, J))
-                    out = out - coeff * (cache.get(j, "xi", J)
-                                         @ cache.get(k, "x", J))
-        return out
+                    lefts.append(cache.get(j, "xi", J))
+                    rights.append(cache.get(k, "x", J))
+                    coeffs.append(phase / math.prod(map(math.factorial, J)))
     except AccuracyExhausted as exc:
         raise AccuracyExhausted(
             f"accuracy exhausted while building the degree-{-m - 1} "
             f"right-hand side: {exc}") from exc
+    # every product has degree -m, the degree of the first
+    accuracy = min(x.accuracy for x in [seed, *lefts, *rights])
+    terms = (stack(lefts).with_accuracy(accuracy)
+             @ stack(rights).with_accuracy(accuracy))
+    return seed.subtract_each(terms * np.array(coeffs).reshape(-1, 1, 1))
 
 
 def solve_q(E: JetMatrix, ctx: SymbolContext) -> JetMatrix:
@@ -334,11 +349,10 @@ def solve_q(E: JetMatrix, ctx: SymbolContext) -> JetMatrix:
     with r the cotangent norm.  (Expanding with the nilpotency of F1, F2
     and b1 = s2 (F1 - F2) confirms this is the exact inverse of the map.)
     """
-    half, quarter_sq, quarter_cu = ctx.solve_factors
-    f2e = ctx.f2 @ E
-    ef1 = E @ ctx.f1
-    f2ef1 = f2e @ ctx.f1
-    return E * half - (f2e + ef1) * quarter_sq + f2ef1 * quarter_cu
+    f2e_ef1 = stack([ctx.f2, E]) @ stack([E, ctx.f1])
+    f2e = f2e_ef1[0]
+    scaled = stack([E, f2e + f2e_ef1[1], f2e @ ctx.f1]) * ctx.solve_factors
+    return scaled[0] - scaled[1] + scaled[2]
 
 
 def q_levels(ctx: SymbolContext, depth: int) -> SymbolLevels:

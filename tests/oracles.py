@@ -10,6 +10,13 @@ that the package uses to reach the same level.  :func:`order1_form` and
 :func:`xi_up_by_double_inversion` are the routes that peeling took before
 every order was read by one rule and the boundary factorization was built
 from the recovered block g^{ab} itself.
+
+The loop forms at the end are the package's batched formulas written one
+product at a time, as they were before each formula became one kernel
+call: the matrix product one column of the left factor at a time, the
+composition sum one term at a time, each at its own accuracy, and the
+inverse metric by Newton's iteration on the full n x n metric.  The
+batched forms must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -210,3 +217,70 @@ def xi_up_by_double_inversion(g_inv, chart):
             entry = entry + full_inverse[a, b] * Jet.xi_component(chart, b)
         up.append(entry)
     return up
+
+
+def matmul_by_columns(a, b):
+    """a @ b one column of a at a time: the outer product of column k of a
+    and row k of b, the k terms added in order."""
+    out = a[:, :1] * b[:1]
+    for k in range(1, a.cols):
+        out = out + a[:, k:k + 1] * b[k:k + 1]
+    return out
+
+
+def build_E_by_terms(m, levels, ctx):
+    """The right-hand side E_m of :func:`elastic_dtn.symbols.build_E`, one
+    term of the composition sum at a time, each at its own accuracy."""
+    from elastic_dtn.symbols import _DerivativeCache, _multi_indices
+
+    cache = _DerivativeCache(levels, ctx.b1)
+    nn = ctx.chart.dimension - 1
+    qm = levels[-m]
+    out = matmul_by_columns(ctx.b0, qm) + qm.dn()
+    if m < 1:
+        out = out - (ctx.c1 if m == -1 else ctx.c0)
+    for j in range(-m, 2):
+        for k in range(-m, 2):
+            order = j + k + m
+            if order < 0:
+                continue
+            phase = (-1j) ** order
+            for J in _multi_indices(nn, order):
+                coeff = phase / math.prod(map(math.factorial, J))
+                out = out - coeff * matmul_by_columns(cache.get(j, "xi", J),
+                                                      cache.get(k, "x", J))
+    return out
+
+
+def solve_q_by_products(E, ctx):
+    """:func:`elastic_dtn.symbols.solve_q`, one product at a time."""
+    inv_norm, s2 = ctx.inv_norm, ctx.s2
+    f2e = matmul_by_columns(ctx.f2, E)
+    ef1 = matmul_by_columns(E, ctx.f1)
+    f2ef1 = matmul_by_columns(f2e, ctx.f1)
+    return (E * (0.5 * inv_norm)
+            - (f2e + ef1) * (0.25 * s2 * inv_norm * inv_norm)
+            + f2ef1 * (0.25 * s2 * s2 * inv_norm * inv_norm * inv_norm))
+
+
+def lin_inverse_by_products(X, ctx):
+    """:func:`elastic_dtn.recovery.lin_inverse`, one product at a time."""
+    return X * (2 * ctx.norm) \
+        + (matmul_by_columns(ctx.f2, X) + matmul_by_columns(X, ctx.f1)) * ctx.s2
+
+
+def full_metric_inverse(metric):
+    """The inverse of the full n x n metric by the Newton iteration of
+    :func:`elastic_dtn.mat_inverse`, its products one column at a time."""
+    import numpy as np
+
+    from elastic_dtn import JetMatrix
+    from elastic_dtn.geometry import assemble_full_metric
+
+    g = assemble_full_metric(metric)
+    ctx, n = g.context, g.rows
+    x = JetMatrix._constant(ctx, np.linalg.inv(g.coeffs[:, :, 0]), g.accuracy)
+    two_i = JetMatrix.identity(ctx, n) * 2.0
+    for _ in range(max(1, math.ceil(math.log2(ctx.truncation_order + 1)))):
+        x = matmul_by_columns(x, two_i - matmul_by_columns(g, x))
+    return x

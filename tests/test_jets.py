@@ -712,12 +712,14 @@ def test_tables_equal_the_loop_tables(n, K):
         _assert_same_arrays(ctx.diff_table(var), _loop_diff_table(ctx, var))
 
 
-def test_matrix_products_keep_two_tables_of_gather_memory():
-    # a full-accuracy 4x4 product gathers 24 values per table pair; it runs
-    # in chunks of whole targets inside the buffer of two tables
-    ctx = make_context(n=3, K=5, xi0=(0.7, -1.1))
+@pytest.mark.parametrize("K", [5, 9])
+def test_matrix_products_keep_the_gather_floor_or_two_tables(K):
+    # a full-accuracy 4x4 product gathers 96 values per table pair; it runs
+    # in chunks of whole targets inside one buffer of the floor, or of two
+    # tables where those are larger (K = 9: 24,310 pairs)
+    ctx = make_context(n=3, K=K, xi0=(0.7, -1.1))
     rng = np.random.default_rng(5)
-    m = JetMatrix(ctx, [[random_jet(ctx, rng, degree=5) for _ in range(4)]
+    m = JetMatrix(ctx, [[random_jet(ctx, rng, degree=K) for _ in range(4)]
                         for _ in range(4)])
     sizes = []
 
@@ -728,7 +730,7 @@ def test_matrix_products_keep_two_tables_of_gather_memory():
     thread = threading.Thread(target=work)
     thread.start()
     thread.join()
-    assert sizes == [2 * len(ctx.mul_table()[0])]
+    assert sizes == [max(2 * len(ctx.mul_table()[0]), jets.GATHER_FLOOR)]
 
 
 def test_jet_times_array_keeps_the_jet_on_the_left():
