@@ -2,7 +2,7 @@
 comparing two versions of the code.
 
 The set is ``random_scene(seed, n, K, order=M)`` for seeds 1-10 and the
-shapes (n, K, M) below, and the three scenes under ``configs/`` at their own
+shapes (n, K, M) below, and the scenes under ``configs/`` at their own
 order; the constant coefficients of ``euclidean`` put zero and constant
 operands into the products.  Each scene runs forward, is written as a
 symbols document, loaded back and recovered, as the ``forward`` and
@@ -56,7 +56,7 @@ from roundtrip_utils import rel_err, true_inverse_derivatives
 
 SHAPES = ((2, 6, 3), (3, 6, 3), (4, 5, 2), (2, 10, 7), (3, 7, 4))
 SEEDS = range(1, 11)
-CONFIGS = ("curved_scene", "euclidean", "random_3_5_2")
+CONFIGS = ("curved_scene", "euclidean", "random_3_5_2", "random_4_5_2")
 ROOT = Path(__file__).resolve().parent.parent
 
 
