@@ -318,28 +318,33 @@ def leading_coefficient_inverse(lame: LameJet, context: JetContext) -> JetMatrix
     return JetMatrix.diagonal(context, [lame.inv_mu] * (n - 1) + [lame.inv_l2m])
 
 
-def normal_multiplier_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
-    """Zeroth-order coefficient of the first-order block of the system."""
+def normal_multiplier_matrix(geo: _Geometry, lame: LameJet,
+                             grad_lam: _JetArray) -> JetMatrix:
+    """Zeroth-order coefficient of the first-order block of the system;
+    ``grad_lam`` is the raised gradient of lambda."""
     ctx = geo.g.context
     nn = ctx.dimension - 1
     gamma, trace = geo.gamma, geo.trace
     lam, mu = lame.lam, lame.mu
     inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
-    grad_lam = geo.raised_gradient(lam)
+    dmu = stack([mu.dx(a) for a in range(nn)])
 
-    rows = []
-    for a in range(nn):
-        row = [2 * gamma[a, b, nn] for b in range(nn)]
-        row[a] = row[a] + trace[nn] + inv_mu * mu.dn()
-        rows.append(row + [inv_mu * grad_lam[a]])
-    rows.append([(lam + mu) * inv_l2m * trace[a] + inv_l2m * mu.dx(a)
-                 for a in range(nn)]
-                + [trace[nn] + inv_l2m * (lam + 2 * mu).dn()])
-    return JetMatrix(ctx, rows)
+    # the diagonal terms are subtracted negated: x - 0.0 keeps x, where
+    # adding a diagonal matrix would turn an off-diagonal -0.0 into +0.0
+    tangential = 2 * gamma[:nn, :nn, nn] \
+        - JetMatrix.diagonal(ctx, [-trace[nn]] * nn) \
+        - JetMatrix.diagonal(ctx, [-(inv_mu * mu.dn())] * nn)
+    last_row = (lam + mu) * inv_l2m * trace[:nn] + inv_l2m * dmu
+    corner = trace[nn] + inv_l2m * (lam + 2 * mu).dn()
+    return JetMatrix.block(ctx, [
+        [tangential, (inv_mu * grad_lam).reshape(nn, 1)],
+        [last_row.reshape(1, nn), corner.reshape(1, 1)]])
 
 
-def zeroth_order_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
-    """Multiplier part of the tangential block of the system."""
+def zeroth_order_matrix(geo: _Geometry, lame: LameJet,
+                        grad_lam: _JetArray) -> JetMatrix:
+    """Multiplier part of the tangential block of the system; ``grad_lam``
+    is the raised gradient of lambda."""
     n = geo.g.context.dimension
     nn = n - 1
     ginv, trace = geo.ginv, geo.trace
@@ -361,7 +366,7 @@ def zeroth_order_matrix(geo: _Geometry, lame: LameJet) -> JetMatrix:
             * trace.dx(c).reshape(1, n)
         tangential = tangential - inv_mu * mu.dx(c) * dginv[:nn, c]
     tangential = tangential \
-        + (inv_mu * geo.raised_gradient(lam)).reshape(nn, 1) * trace.reshape(1, n)
+        + (inv_mu * grad_lam).reshape(nn, 1) * trace.reshape(1, n)
     normal = (lam + mu) * inv_l2m * trace.dn() \
         + mu * inv_l2m * contracted[nn, :] \
         + inv_l2m * lam.dn() * trace
@@ -389,7 +394,7 @@ def apply_B(v: JetMatrix, geo: _Geometry, lame: LameJet) -> JetMatrix:
         last = last + (lam + mu) * inv_l2m * comps[b].dx(b)
     out.append(last)
 
-    mult = normal_multiplier_matrix(geo, lame)
+    mult = normal_multiplier_matrix(geo, lame, geo.raised_gradient(lam))
     for j in range(n):
         for k in range(n):
             out[j] = out[j] + mult[j, k] * comps[k]
@@ -466,7 +471,7 @@ def apply_C(v: JetMatrix, geo: _Geometry, lame: LameJet) -> JetMatrix:
         last = last + inv_l2m * grad_mu[c] * comps[nn].dx(c)
     out.append(last)
 
-    mult = zeroth_order_matrix(geo, lame)
+    mult = zeroth_order_matrix(geo, lame, grad_lam)
     for j in range(n):
         for k in range(n):
             out[j] = out[j] + mult[j, k] * comps[k]

@@ -132,23 +132,20 @@ def extract_quadratic(Q: Jet, tol: float = QUADRATICITY_TOL):
             f"observed level inconsistent with quadratic-form model "
             f"(homogeneity degree {Q.degree}, not 2)")
     nn = ctx.dimension - 1
-    block = [[None] * nn for _ in range(nn)]
-    for a in range(nn):
-        for b in range(a, nn):
-            entry = (Q.dxi(a).dxi(b) * 0.5).spatial_part()
-            block[a][b] = entry
-            block[b][a] = entry
-    xi = [Jet.xi_component(ctx, a) for a in range(nn)]
-    rebuilt = Jet.zero(ctx)
-    for a in range(nn):
-        for b in range(nn):
-            rebuilt = rebuilt + block[a][b] * xi[a] * xi[b]
+    first = [Q.dxi(a) for a in range(nn)]
+    # the entries with a <= b, mirrored
+    block = (stack([stack([first[min(a, b)].dxi(max(a, b)) for b in range(nn)])
+                    for a in range(nn)]) * 0.5).spatial_part()
+    xi = stack([Jet.xi_component(ctx, a) for a in range(nn)])
+    # the terms B_ab xi_a xi_b in row-major order, after a zero seed
+    rebuilt = Jet.zero(ctx) \
+        + (block * xi.reshape(nn, 1) * xi.reshape(1, nn)).reshape(nn * nn).sum()
     residual = (Q - rebuilt).max_abs()
     if not residual <= tol:
         raise ConsistencyError(
             f"observed level inconsistent with quadratic-form model "
             f"(residual {residual:.3g} > {tol:g})")
-    return JetMatrix(ctx.spatial, block), {"quadraticity": residual}
+    return block, {"quadraticity": residual}
 
 
 def extract_quadratic_sampled(Q: Jet):
@@ -310,6 +307,19 @@ def _reference_level(obs: ObservedSymbols, partial: RecoveredBoundaryData,
     return p_level(ctx_ref, q_levels(ctx_ref, m - 1), 1 - m).at_boundary()
 
 
+def _peeled_block(block: JetMatrix, g_inv: JetMatrix,
+                  boundary: BoundaryFactorization) -> JetMatrix:
+    """((2 lambda + 5 mu) h g^{ab} - B_ab) / (lambda + 2 mu) from the
+    extracted form B, with h its trace against g_ab over the trace
+    denominator; the trace adds the terms in row-major order after a zero
+    seed."""
+    nn = block.rows
+    trace = Jet.zero(block.context) + (block * boundary.g).reshape(nn * nn).sum()
+    h = trace * boundary.inv_trace_denominator
+    lam, mu = boundary.lame.lam, boundary.lame.mu
+    return ((2 * lam + 5 * mu) * h * g_inv - block) * boundary.lame.inv_l2m
+
+
 def recover_normal_derivative(m: int, obs: ObservedSymbols,
                               partial: RecoveredBoundaryData,
                               boundary: BoundaryFactorization,
@@ -356,22 +366,12 @@ def recover_normal_derivative(m: int, obs: ObservedSymbols,
     block, diag = extract_quadratic(form, tol=quadraticity_tol)
     diag["tangential_trust"] = trust
 
-    trace = Jet.zero(block.context)
-    for a in range(nn):
-        for b in range(nn):
-            trace = trace + block[a, b] * boundary.g[a, b]
     denom_const = boundary.trace_denominator.constant_term.real
     if not denom_const > 0:
         raise ConsistencyError(
             f"trace denominator must be positive, got {denom_const:g}")
-    h = trace * boundary.inv_trace_denominator
-
-    lam, mu = boundary.lame.lam, boundary.lame.mu
-    inv_l2m = boundary.lame.inv_l2m
-    out = [[((2 * lam + 5 * mu) * h * partial.g_inv[a, b] - block[a, b])
-            * inv_l2m for b in range(nn)] for a in range(nn)]
-    deriv, worst_imag = _realify(JetMatrix(chart, out), imaginary_tol,
-                                 f"order-{m} derivative entry")
+    deriv, worst_imag = _realify(_peeled_block(block, partial.g_inv, boundary),
+                                 imaginary_tol, f"order-{m} derivative entry")
     diag.update({
         "imaginary": worst_imag,
         "residual_scale": residual_entry.max_abs(),

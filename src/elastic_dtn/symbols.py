@@ -83,6 +83,7 @@ class SymbolContext(Factorization):
     """
 
     geo: _Geometry
+    grad_lam: _JetArray  # the raised gradient of lambda, which c0 reads
     lead: JetMatrix
     b1: JetMatrix
     b0: JetMatrix
@@ -94,21 +95,20 @@ class SymbolContext(Factorization):
         chart, lame = self.chart, self.lame
         nn = chart.dimension - 1
         lam, mu = lame.lam, lame.mu
-        xi_down, xi_up, norm_sq = self.xi_down, self.xi_up, self.norm_sq
-        zero = Jet.zero(chart)
-        c2 = []
-        for a in range(nn):
-            row = [-(lam + mu) * lame.inv_mu * xi_up[a] * xi_down[b]
-                   for b in range(nn)]
-            row[a] = row[a] - norm_sq
-            c2.append(row + [zero])
-        c2.append([zero] * nn + [-mu * lame.inv_l2m * norm_sq])
-        return JetMatrix(chart, c2)
+        outer = (-(lam + mu) * lame.inv_mu * self.xi_up).reshape(nn, 1) \
+            * self.xi_down.reshape(1, nn)
+        # x - 0.0 keeps x: subtracting a diagonal matrix keeps the signed
+        # zeros off the diagonal
+        tangential = outer - JetMatrix.diagonal(chart, [self.norm_sq] * nn)
+        corner = -mu * lame.inv_l2m * self.norm_sq
+        return JetMatrix.block(chart, [
+            [tangential, JetMatrix.zeros(chart, nn, 1)],
+            [JetMatrix.zeros(chart, 1, nn), corner.reshape(1, 1)]])
 
     @functools.cached_property
     def c0(self) -> JetMatrix:
         """Tangential block, degree-zero part."""
-        return zeroth_order_matrix(self.geo, self.lame)
+        return zeroth_order_matrix(self.geo, self.lame, self.grad_lam)
 
     @functools.cached_property
     def solve_factors(self) -> _JetArray:
@@ -232,8 +232,9 @@ def build_context(metric: MetricJet, lame: LameJet,
           + 1j * inv_l2m * xi_grad_mu).reshape(1, 1)]])
 
     return SymbolContext(
-        **vars(fac), geo=geo, lead=leading_coefficient(lame, chart),
-        b1=b1, b0=normal_multiplier_matrix(geo, lame), c1=c1)
+        **vars(fac), geo=geo, grad_lam=grad_lam,
+        lead=leading_coefficient(lame, chart),
+        b1=b1, b0=normal_multiplier_matrix(geo, lame, grad_lam), c1=c1)
 
 
 def q1(ctx: SymbolContext) -> JetMatrix:

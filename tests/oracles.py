@@ -16,7 +16,9 @@ product at a time, as they were before each formula became one kernel
 call: the matrix product one column of the left factor at a time, the
 composition sum one term at a time, each at its own accuracy, and the
 inverse metric by Newton's iteration on the full n x n metric.  The
-batched forms must match them bit for bit.
+batched forms must match them bit for bit.  So must the whole-array forms
+of b0, c2, the quadratic-form extraction and the peeling contraction,
+whose loop forms, one entry at a time, close the module.
 """
 
 from __future__ import annotations
@@ -284,3 +286,87 @@ def full_metric_inverse(metric):
     for _ in range(max(1, math.ceil(math.log2(ctx.truncation_order + 1)))):
         x = matmul_by_columns(x, two_i - matmul_by_columns(g, x))
     return x
+
+
+def b0_by_entries(geo, lame):
+    """b0 of :func:`elastic_dtn.geometry.normal_multiplier_matrix`, one entry
+    at a time, with its own raised gradient of lambda."""
+    from elastic_dtn import JetMatrix
+
+    ctx = geo.g.context
+    nn = ctx.dimension - 1
+    gamma, trace = geo.gamma, geo.trace
+    lam, mu = lame.lam, lame.mu
+    inv_mu, inv_l2m = lame.inv_mu, lame.inv_l2m
+    grad_lam = geo.raised_gradient(lam)
+
+    rows = []
+    for a in range(nn):
+        row = [2 * gamma[a, b, nn] for b in range(nn)]
+        row[a] = row[a] + trace[nn] + inv_mu * mu.dn()
+        rows.append(row + [inv_mu * grad_lam[a]])
+    rows.append([(lam + mu) * inv_l2m * trace[a] + inv_l2m * mu.dx(a)
+                 for a in range(nn)]
+                + [trace[nn] + inv_l2m * (lam + 2 * mu).dn()])
+    return JetMatrix(ctx, rows)
+
+
+def c2_by_entries(ctx):
+    """c2 of :class:`elastic_dtn.symbols.SymbolContext`, one entry at a
+    time."""
+    from elastic_dtn import Jet, JetMatrix
+
+    chart, lame = ctx.chart, ctx.lame
+    nn = chart.dimension - 1
+    lam, mu = lame.lam, lame.mu
+    xi_down, xi_up, norm_sq = ctx.xi_down, ctx.xi_up, ctx.norm_sq
+    zero = Jet.zero(chart)
+    c2 = []
+    for a in range(nn):
+        row = [-(lam + mu) * lame.inv_mu * xi_up[a] * xi_down[b]
+               for b in range(nn)]
+        row[a] = row[a] - norm_sq
+        c2.append(row + [zero])
+    c2.append([zero] * nn + [-mu * lame.inv_l2m * norm_sq])
+    return JetMatrix(chart, c2)
+
+
+def extract_quadratic_by_entries(Q):
+    """The half-Hessian block of :func:`elastic_dtn.recovery.extract_quadratic`
+    and the form rebuilt from it, one entry and one term at a time."""
+    from elastic_dtn import Jet, JetMatrix
+
+    ctx = Q.context
+    nn = ctx.dimension - 1
+    block = [[None] * nn for _ in range(nn)]
+    for a in range(nn):
+        for b in range(a, nn):
+            entry = (Q.dxi(a).dxi(b) * 0.5).spatial_part()
+            block[a][b] = entry
+            block[b][a] = entry
+    xi = [Jet.xi_component(ctx, a) for a in range(nn)]
+    rebuilt = Jet.zero(ctx)
+    for a in range(nn):
+        for b in range(nn):
+            rebuilt = rebuilt + block[a][b] * xi[a] * xi[b]
+    return JetMatrix(ctx.spatial, block), rebuilt
+
+
+def peeled_block_by_entries(block, g_inv, boundary):
+    """The trace of the form against g_ab and the recovered block
+    ((2 lam + 5 mu) h g^{ab} - B_ab) / (lam + 2 mu) of a peeling order, one
+    entry at a time, built on the full chart and brought back to the spatial
+    chart."""
+    from elastic_dtn import Jet, JetMatrix
+
+    nn = block.rows
+    trace = Jet.zero(block.context)
+    for a in range(nn):
+        for b in range(nn):
+            trace = trace + block[a, b] * boundary.g[a, b]
+    h = trace * boundary.inv_trace_denominator
+    lam, mu = boundary.lame.lam, boundary.lame.mu
+    inv_l2m = boundary.lame.inv_l2m
+    out = [[((2 * lam + 5 * mu) * h * g_inv[a, b] - block[a, b])
+            * inv_l2m for b in range(nn)] for a in range(nn)]
+    return JetMatrix(boundary.chart, out).spatial_part()
